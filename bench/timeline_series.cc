@@ -8,7 +8,8 @@
 // (default) computes each epoch's rebalance on the BackgroundAllocator
 // worker while the next epoch executes (install deferred one boundary, the
 // deterministic software-pipelining schedule); sync/deferred run it on the
-// driver. --producers=N fans ingest out through the IngestRouter.
+// driver. --producers=N fans ingest out over a common::FanOut of N
+// threads (PipelineConfig::ingest_producers).
 //
 // Record/replay (engine/replay.h): --record=PATH saves the first method's
 // run as a deterministic trace; --replay=PATH re-executes a saved trace on

@@ -22,7 +22,7 @@
 // --alloc-mode=background (the default) computes each epoch's rebalance on
 // a background worker while the next epoch executes — the engine reports
 // how much allocation latency the overlap hid; --producers=N fans ingest
-// out over N router threads.
+// out over a pool of N threads.
 #include <cstdio>
 #include <memory>
 

@@ -9,7 +9,7 @@
 //   2. Persist: the trace round-trips through the compact binary format
 //      (plus a CSV dump for eyeballing).
 //   3. Replay: the loaded trace re-executes bit-identically under several
-//      *different* execution shapes (1 thread / no router, 4 threads / 3
+//      *different* execution shapes (1 thread / no fan-out, 4 threads / 3
 //      producers) — a failing run can be re-run under a debugger
 //      single-threaded without changing what happens.
 //   4. Guard: replaying against the wrong workload is refused up front via

@@ -1,7 +1,6 @@
 #include "txallo/allocator/registry.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "txallo/allocator/adapters.h"
@@ -12,64 +11,13 @@ namespace txallo::allocator {
 
 namespace {
 
-using OptionMap = std::map<std::string, std::string>;
+using common::OptionMap;
+using common::ReadDouble;
+using common::ReadUint32;
 
-// Strict typed readers: the whole value must parse, otherwise the caller
-// gets an InvalidArgument naming key and value.
-Status ReadUint32(const OptionMap& options, const std::string& key,
-                  uint32_t* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || v > UINT32_MAX) {
-    return Status::InvalidArgument("option '" + key + "' expects a "
-                                   "non-negative integer, got '" +
-                                   it->second + "'");
-  }
-  *out = static_cast<uint32_t>(v);
-  return Status::OK();
-}
-
-Status ReadDouble(const OptionMap& options, const std::string& key,
-                  double* out) {
-  auto it = options.find(key);
-  if (it == options.end()) return Status::OK();
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key +
-                                   "' expects a number, got '" + it->second +
-                                   "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-// Rejects any key outside the strategy's known set, so a typo'd option
-// never silently falls back to its default.
 Status ExpectOnly(const std::string& name, const OptionMap& options,
-                  std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : options) {
-    bool found = false;
-    for (const char* k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string list;
-      for (const char* k : known) {
-        if (!list.empty()) list += ", ";
-        list += k;
-      }
-      return Status::InvalidArgument(
-          "unknown option '" + key + "' for allocator '" + name +
-          "' (known: " + (list.empty() ? "<none>" : list) + ")");
-    }
-  }
-  return Status::OK();
+                  const std::vector<std::string_view>& known) {
+  return common::ExpectOnly("allocator '" + name + "'", options, known);
 }
 
 Status RequireRegistry(const std::string& name,

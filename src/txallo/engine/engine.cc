@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "txallo/common/fan_out.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/state/transfer_plan.h"
 
@@ -189,14 +190,22 @@ void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
 }
 
 Status ParallelEngine::SubmitBlock(
-    const std::vector<chain::Transaction>& transactions) {
-  return SubmitTransactions(transactions.data(), transactions.size());
-}
-
-Status ParallelEngine::SubmitTransactions(
-    const chain::Transaction* transactions, size_t count) {
-  return SubmitTransactions(transactions, count,
-                            ReserveSequenceRange(count));
+    const std::vector<chain::Transaction>& transactions,
+    common::FanOut* fan_out) {
+  const chain::Transaction* data = transactions.data();
+  const uint64_t first_seq =
+      ingest_seq_.fetch_add(transactions.size(), std::memory_order_relaxed);
+  if (fan_out == nullptr) {
+    return SubmitTransactions(data, transactions.size(), first_seq);
+  }
+  std::vector<Status> statuses(fan_out->size());
+  fan_out->Run(transactions.size(),
+               [&](uint32_t slice, size_t begin, size_t end) {
+                 statuses[slice] = SubmitTransactions(
+                     data + begin, end - begin, first_seq + begin);
+               });
+  for (const Status& status : statuses) TXALLO_RETURN_NOT_OK(status);
+  return Status::OK();
 }
 
 Status ParallelEngine::SubmitTransactions(

@@ -28,8 +28,8 @@
 // floating-point summation order differs).
 //
 // Determinism: every submitted transaction carries an ingest *sequence tag*
-// (a position in a per-engine reservation counter; see
-// ReserveSequenceRange). Producers may push into a shard's inbox in any
+// (a position in a per-engine reservation counter, reserved once per
+// SubmitBlock call). Producers may push into a shard's inbox in any
 // interleaving — the lane stages arrivals and merges them into its FIFO in
 // sequence order at the next tick, after all in-flight submissions have
 // returned (the driver contract). Per-lane execution order is therefore a
@@ -39,12 +39,12 @@
 // per-shard prepare order and 2PC outcome stream that engine/replay.h
 // serializes and replays bit-identically.
 //
-// Threading contract (relaxed since the ingest router): ingest is
-// multi-producer — SubmitBlock/SubmitTransactions may be called from any
-// number of threads concurrently (the per-shard MPSC queues and the 2PC
-// registry are shared-state safe; engine/ingest_router.h is the fan-out
-// driver). Tick/Snapshot/DrainAndReport remain driver API — one thread at a
-// time, and they must not overlap in-flight submissions (the logical clock
+// Threading contract: ingest is multi-producer — SubmitBlock may be called
+// from any number of threads concurrently (the per-shard MPSC queues and
+// the 2PC registry are shared-state safe), and with a common::FanOut it
+// slices one block across the pool's threads itself.
+// Tick/Snapshot/DrainAndReport remain driver API — one thread at a time,
+// and they must not overlap in-flight submissions (the logical clock
 // advances between ingest phases, exactly like a block boundary).
 // InstallAllocation is safe from any thread at any time.
 #pragma once
@@ -68,6 +68,10 @@
 #include "txallo/sim/shard_sim.h"
 #include "txallo/sim/work_model.h"
 #include "txallo/state/state_db.h"
+
+namespace txallo::common {
+class FanOut;
+}  // namespace txallo::common
 
 namespace txallo::engine {
 
@@ -169,37 +173,21 @@ class ParallelEngine {
 
   /// Routes one block of transactions by the current allocation snapshot
   /// into the shard queues. Blocks for backpressure when a queue is full.
-  /// Safe from multiple producer threads concurrently (see the threading
-  /// contract above); equivalent to SubmitTransactions over the whole span.
-  Status SubmitBlock(const std::vector<chain::Transaction>& transactions);
-
-  /// Multi-producer ingest primitive: routes `count` transactions starting
-  /// at `transactions` by the current allocation snapshot. Any number of
-  /// producers may call this concurrently — per-transaction routing reads
-  /// one copy-on-write snapshot, the 2PC registry is mutex-guarded, and the
-  /// per-shard inboxes are MPSC. Must not overlap Tick()/Snapshot()/
-  /// DrainAndReport() (driver API). Reserves this call's sequence range
-  /// internally, so tags across *concurrent* callers follow reservation
-  /// interleaving; coordinate with ReserveSequenceRange + the three-arg
-  /// overload when deterministic order matters.
-  Status SubmitTransactions(const chain::Transaction* transactions,
-                            size_t count);
-
-  /// Deterministic multi-producer ingest: transaction i carries sequence
-  /// tag `first_seq + i`. Callers reserve tags up front (one
-  /// ReserveSequenceRange per logical block, driver-side) and may then
-  /// submit disjoint slices from any number of threads in any interleaving
-  /// — per-lane execution order depends only on the tags, not the
-  /// schedule. This is what IngestRouter does.
-  Status SubmitTransactions(const chain::Transaction* transactions,
-                            size_t count, uint64_t first_seq);
-
-  /// Reserves `count` consecutive ingest sequence tags and returns the
-  /// first. Safe from any thread; call once per logical block from the
-  /// driver so sliced submissions stay deterministic.
-  uint64_t ReserveSequenceRange(size_t count) {
-    return ingest_seq_.fetch_add(count, std::memory_order_relaxed);
-  }
+  ///
+  /// Tags: the call reserves the block's sequence range once, up front, and
+  /// transaction i carries tag base + i. With `fan_out` null the block is
+  /// submitted on the caller's thread; otherwise each pool thread submits
+  /// one contiguous slice, in any interleaving, and the call returns once
+  /// every slice is in (the first failing slice's status is returned).
+  /// Because the tags depend only on the block, and lanes merge arrivals by
+  /// tag at the next tick, per-lane execution order — and so which parts
+  /// fit a tight λ budget first — is identical for every pool size.
+  ///
+  /// Safe from several threads concurrently; each call's tags are then
+  /// contiguous but ordered by reservation, so deterministic runs submit
+  /// from one driver. Must not overlap Tick()/Snapshot()/DrainAndReport().
+  Status SubmitBlock(const std::vector<chain::Transaction>& transactions,
+                     common::FanOut* fan_out = nullptr);
 
   /// Starts recording the deterministic execution trace (per-lane prepare
   /// events and 2PC commit events). Driver-side, before the first
@@ -299,6 +287,11 @@ class ParallelEngine {
     // off the top of that tick's budget.
     double migration_debt = 0.0;
   };
+  // Routes `count` transactions; transaction i carries tag first_seq + i.
+  // Reads one copy-on-write snapshot and pushes into the MPSC inboxes, so
+  // disjoint slices may run on different threads at once.
+  Status SubmitTransactions(const chain::Transaction* transactions,
+                            size_t count, uint64_t first_seq);
   void WorkerMain(uint32_t worker_index);
   void ExecuteBlock(uint32_t shard, ShardLane& lane, uint64_t block,
                     bool record);
@@ -369,7 +362,7 @@ class ParallelEngine {
   // concurrent producers in SubmitTransactions — stable there because
   // submissions never overlap ticks (threading contract).
   std::atomic<uint64_t> now_{0};
-  // Ingest sequence-tag reservation counter (ReserveSequenceRange).
+  // Ingest sequence-tag reservation counter (one range per SubmitBlock).
   std::atomic<uint64_t> ingest_seq_{0};
 };
 

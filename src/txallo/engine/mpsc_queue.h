@@ -1,5 +1,5 @@
 // Bounded multi-producer single-consumer queue: the ingest channel between
-// the router (driver thread, and any future parallel ingest threads) and a
+// SubmitBlock (on the driver thread, or on common::FanOut threads) and a
 // shard worker. Mutex + condvar rather than a lock-free ring: the queue is
 // touched once per transaction part, far from hot, and the blocking-push
 // backpressure semantics are what the engine actually needs. A `full

@@ -10,13 +10,12 @@
 #include <vector>
 
 #include "txallo/chain/block.h"
+#include "txallo/common/fan_out.h"
 #include "txallo/common/stopwatch.h"
 #include "txallo/engine/background_allocator.h"
-#include "txallo/engine/ingest_router.h"
 #include "txallo/engine/replay.h"
 #include "txallo/mempool/cleaner.h"
 #include "txallo/mempool/offered_load.h"
-#include "txallo/mempool/submit_router.h"
 #include "txallo/sim/reconfig.h"
 #include "txallo/workload/stream.h"
 
@@ -146,10 +145,10 @@ class PipelineRun {
   PipelineResult result_;
   ReplayLog observed_;  // Built along the run when recording.
   std::shared_ptr<const alloc::Allocation> current_;
-  // Pipeline stages: optional parallel-ingest fan-out and optional
-  // background allocation worker (never needed on replay — the recorded
-  // install stream stands in for the allocator entirely).
-  std::optional<IngestRouter> router_;
+  // Pipeline stages: optional parallel-ingest fan-out (null = the driver
+  // submits) and optional background allocation worker (never needed on
+  // replay — the recorded install stream stands in for the allocator).
+  std::unique_ptr<common::FanOut> fan_out_;
   std::optional<BackgroundAllocator> background_;
   // Mapping computed at the previous boundary, awaiting its deferred
   // install (kDriverDeferred, and kBackground's fallback when the strategy
@@ -160,8 +159,8 @@ class PipelineRun {
   uint64_t step_ = 0;
 
   // Open-loop state. Engine sequence tags are assigned contiguously in
-  // dispatch order (driver SubmitBlock and IngestRouter slices alike), so
-  // a dense vector maps seq -> submit tick.
+  // dispatch order (SubmitBlock reserves one range per block, fanned out or
+  // not), so a dense vector maps seq -> submit tick.
   std::vector<uint64_t> submit_tick_of_seq_;
   uint64_t offered_prev_ = 0;
   mempool::AdmissionStats admission_prev_;
@@ -468,11 +467,8 @@ Status PipelineRun::RunClosedLoop() {
     for (size_t b = window.first_block_index; b < window.last_block_index;
          ++b) {
       const chain::Block& block = ledger_.blocks()[b];
-      if (router_) {
-        TXALLO_RETURN_NOT_OK(router_->SubmitBlock(block.transactions()));
-      } else {
-        TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block.transactions()));
-      }
+      TXALLO_RETURN_NOT_OK(
+          engine_->SubmitBlock(block.transactions(), fan_out_.get()));
       engine_->Tick();
       if (replay_ == nullptr) alloc_->ApplyBlock(block);
     }
@@ -524,9 +520,10 @@ Status PipelineRun::RunOpenLoop() {
   engine_->EnableCommitObservation();
 
   mempool::MempoolConfig pool_config = open_loop_.mempool;
-  // Deterministic drops: staging must hold any single tick's offer so
-  // TrySubmit never races producers against a full buffer — every drop
-  // decision then happens at the seal, in pool_seq order (submit_router.h).
+  // Deterministic drops: with the offer fanned out, *which* arrival finds a
+  // full staging buffer would depend on thread timing. Staging therefore
+  // holds any single tick's offer, TrySubmit never refuses, and every drop
+  // decision happens at the seal, in pool_seq order.
   const size_t tick_offer =
       static_cast<size_t>(std::ceil(open_loop_.offered_load)) + 1;
   pool_config.staging_capacity =
@@ -534,10 +531,6 @@ Status PipelineRun::RunOpenLoop() {
   mempool::Mempool pool(pool_config);
   std::optional<mempool::MempoolCleaner> cleaner;
   if (open_loop_.cleaner) cleaner.emplace(&pool);
-  std::optional<mempool::SubmitRouter> submitters;
-  if (config_.ingest_producers >= 2) {
-    submitters.emplace(&pool, config_.ingest_producers);
-  }
   mempool::OfferedLoadGenerator generator(
       ledger_,
       mempool::OfferedLoadConfig{open_loop_.offered_load,
@@ -547,8 +540,6 @@ Status PipelineRun::RunOpenLoop() {
                                   : open_loop_.dispatch_per_tick;
 
   std::vector<mempool::OfferedTx> released;
-  std::vector<chain::Transaction> tx_buf;
-  std::vector<uint64_t> fee_buf;
   common::Histogram window_hist;
   uint64_t window_first = engine_->current_block();
   uint32_t ticks_in_window = 0;
@@ -559,25 +550,20 @@ Status PipelineRun::RunOpenLoop() {
            pool.deferred_size() == 0 && pool.staged_size() == 0)) {
     const uint64_t now = engine_->current_block();
 
-    // 1. Offer this tick's arrivals into staging.
+    // 1. Offer this tick's arrivals into staging: arrival i carries pool
+    // tag seq_base + i, whichever thread offers it.
     released.clear();
     generator.ReleaseTick(&released);
-    if (!released.empty()) {
-      const uint64_t seq_base = pool.ReserveSequenceRange(released.size());
-      if (submitters) {
-        tx_buf.clear();
-        fee_buf.clear();
-        for (const mempool::OfferedTx& offer : released) {
-          tx_buf.push_back(*offer.tx);
-          fee_buf.push_back(offer.fee);
-        }
-        submitters->SubmitBatch(tx_buf.data(), fee_buf.data(), tx_buf.size(),
-                                now, seq_base);
-      } else {
-        for (size_t i = 0; i < released.size(); ++i) {
-          pool.TrySubmit(*released[i].tx, released[i].fee, now, seq_base + i);
-        }
+    const uint64_t seq_base = pool.ReserveSequenceRange(released.size());
+    auto offer = [&](uint32_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        pool.TrySubmit(*released[i].tx, released[i].fee, now, seq_base + i);
       }
+    };
+    if (fan_out_ != nullptr) {
+      fan_out_->Run(released.size(), offer);
+    } else {
+      offer(0, 0, released.size());
     }
 
     // 2. Seal: admission control for tick `now`.
@@ -591,11 +577,7 @@ Status PipelineRun::RunOpenLoop() {
       submit_tick_of_seq_.push_back(pending.submit_tick);
       block_txs.push_back(std::move(pending.tx));
     }
-    if (router_) {
-      TXALLO_RETURN_NOT_OK(router_->SubmitBlock(block_txs));
-    } else {
-      TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block_txs));
-    }
+    TXALLO_RETURN_NOT_OK(engine_->SubmitBlock(block_txs, fan_out_.get()));
     engine_->Tick();
 
     // 4. End-to-end latency of every commit this tick decided.
@@ -679,7 +661,12 @@ Status PipelineRun::Epilogue() {
     observed_.meta.ledger_blocks = ledger_.num_blocks();
     observed_.meta.ledger_transactions = ledger_.num_transactions();
     observed_.meta.ledger_fingerprint = ledger_fingerprint_;
-    observed_.meta.workload_spec = config_.workload_spec;
+    // A replay that names no spec runs under the recorded one (Validate
+    // pinned any spec it does name to the trace's).
+    observed_.meta.workload_spec =
+        replay_ != nullptr && config_.workload_spec.empty()
+            ? replay_->meta.workload_spec
+            : config_.workload_spec;
     observed_.meta.ingest_mode = static_cast<uint8_t>(ingest_mode_);
     if (ingest_mode_ == IngestMode::kOpenLoop) {
       // Same normalization rule: closed-loop traces keep the open-loop
@@ -752,7 +739,7 @@ Result<PipelineResult> PipelineRun::Run() {
 
   current_ = engine_->allocation_snapshot();
   if (config_.ingest_producers >= 2) {
-    router_.emplace(engine_, config_.ingest_producers);
+    fan_out_ = std::make_unique<common::FanOut>(config_.ingest_producers);
   }
   if (replay_ == nullptr &&
       config_.allocator_mode == AllocatorMode::kBackground) {

@@ -27,9 +27,10 @@
 //                        to kDriverDeferred at equal inputs (the parity
 //                        tests assert bit-equality).
 //
-// Ingest can fan out too: `ingest_producers >= 2` routes every block
-// through an IngestRouter (N producer threads into the per-shard MPSC
-// queues) instead of the driver thread.
+// Ingest can fan out too: `ingest_producers >= 2` starts one
+// common::FanOut of that many threads, which slices every block into the
+// per-shard MPSC queues (ParallelEngine::SubmitBlock) and, in open loop,
+// every tick's offer into the mempool, instead of the driver thread.
 //
 // Ingest modes: the classic driver is *closed-loop* — it feeds one ledger
 // block per tick, so the arrival rate automatically tracks the service rate
@@ -119,9 +120,9 @@ struct PipelineConfig {
   /// Allocation schedule (see file header). kDriverSync reproduces the
   /// historical single-driver loop.
   AllocatorMode allocator_mode = AllocatorMode::kDriverSync;
-  /// Ingest fan-out: >= 2 routes blocks through an IngestRouter with this
-  /// many producer threads; 0/1 submits from the driver. In kOpenLoop the
-  /// same count also sizes the mempool's SubmitRouter producer pool.
+  /// Ingest fan-out: >= 2 submits through one common::FanOut with this many
+  /// threads — engine blocks and, in kOpenLoop, the mempool offer alike;
+  /// 0/1 submits from the driver. Outputs are identical either way.
   uint32_t ingest_producers = 0;
   /// Closed-loop (feed one ledger block per tick) or open-loop (offered
   /// load through the mempool; see file header). On replay the recorded

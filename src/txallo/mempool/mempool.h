@@ -1,5 +1,5 @@
 // Concurrent mempool with admission control, sitting between transaction
-// producers and the engine's ingest router.
+// producers and engine ingest (ParallelEngine::SubmitBlock).
 //
 // Two-sided design, mirroring the engine's producer/driver split:
 //
@@ -118,7 +118,8 @@ class Mempool {
 
   /// Reserves `count` consecutive pool sequence numbers and returns the
   /// first. Thread-safe; typically the driver reserves one range per tick
-  /// and hands disjoint sub-ranges to producers (SubmitRouter).
+  /// and hands disjoint sub-ranges to producers (the open-loop pipeline's
+  /// common::FanOut offer step).
   uint64_t ReserveSequenceRange(size_t count) {
     return seq_counter_.fetch_add(count, std::memory_order_relaxed);
   }

@@ -44,6 +44,14 @@ Status EthereumLikeConfig::Validate() const {
         "EthereumLikeConfig.num_accounts must be >= 2, got " +
         std::to_string(num_accounts));
   }
+  // Ids are dense in [0, num_accounts) and chain::AccountId is 32-bit with
+  // UINT32_MAX reserved as kInvalidAccount.
+  if (num_accounts > chain::kInvalidAccount) {
+    return Status::InvalidArgument(
+        "EthereumLikeConfig.num_accounts must be <= " +
+        std::to_string(chain::kInvalidAccount) + " (32-bit account ids), got " +
+        std::to_string(num_accounts));
+  }
   if (num_communities == 0) {
     return Status::InvalidArgument(
         "EthereumLikeConfig.num_communities must be > 0");

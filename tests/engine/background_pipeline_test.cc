@@ -6,7 +6,10 @@
 // "engine" label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,27 +41,16 @@ PipelineFixture MakeFixture(uint64_t blocks = 48, uint64_t seed = 29) {
   return f;
 }
 
-Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
-                                       const std::string& spec,
-                                       engine::AllocatorMode mode,
-                                       uint32_t producers = 0,
-                                       uint32_t epoch_blocks = 8) {
-  const uint32_t k = 4;
-  allocator::AllocatorOptions options;
-  options.params = alloc::AllocationParams::ForExperiment(
-      f.ledger.num_transactions(), k, 2.0);
-  options.registry = &f.generator->registry();
-  auto made = allocator::MakeAllocatorFromSpec(spec, options);
-  if (!made.ok()) return made.status();
-  allocator::OnlineAllocator* online = (*made)->AsOnline();
-  if (online == nullptr) {
-    return Status::InvalidArgument(spec + " is one-shot only");
-  }
+Result<engine::PipelineResult> RunOnline(const PipelineFixture& f,
+                                         allocator::OnlineAllocator* online,
+                                         engine::AllocatorMode mode,
+                                         uint32_t producers,
+                                         uint32_t epoch_blocks) {
   engine::EngineConfig config;
-  config.num_shards = k;
+  config.num_shards = online->online_params().num_shards;
   config.num_threads = 2;
   config.work.capacity_per_block =
-      2.0 * static_cast<double>(f.config.txs_per_block) / k;
+      2.0 * static_cast<double>(f.config.txs_per_block) / config.num_shards;
   config.hash_route_unassigned = true;
   engine::ParallelEngine engine(config, nullptr);
   engine::PipelineConfig pipeline;
@@ -67,6 +59,108 @@ Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
   pipeline.ingest_producers = producers;
   return engine::RunReallocatedStream(f.ledger, online, &engine, pipeline);
 }
+
+Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
+                                       const std::string& spec,
+                                       engine::AllocatorMode mode,
+                                       uint32_t producers = 0,
+                                       uint32_t epoch_blocks = 8) {
+  allocator::AllocatorOptions options;
+  options.params = alloc::AllocationParams::ForExperiment(
+      f.ledger.num_transactions(), 4, 2.0);
+  options.registry = &f.generator->registry();
+  auto made = allocator::MakeAllocatorFromSpec(spec, options);
+  if (!made.ok()) return made.status();
+  allocator::OnlineAllocator* online = (*made)->AsOnline();
+  if (online == nullptr) {
+    return Status::InvalidArgument(spec + " is one-shot only");
+  }
+  return RunOnline(f, online, mode, producers, epoch_blocks);
+}
+
+// An online allocator (id mod k over the accounts seen so far) whose
+// background Run() cannot finish on its own: it blocks on a latch that the
+// driver opens from ApplyBlock, i.e. only after it has submitted and ticked
+// the first block of the next epoch. The driver opens the latch only once
+// Run() has started, then waits — still inside ApplyBlock — until Run() has
+// returned. Every Run() therefore spans a driver/worker round trip, and by
+// the time the pipeline's Collect() starts its stopwatch the result is
+// already computed: overlap is positive by construction, not by timing luck.
+class LatchedAllocator : public allocator::OnlineAllocator {
+ public:
+  explicit LatchedAllocator(alloc::AllocationParams params)
+      : OnlineAllocator("latched-test", params) {}
+
+  void ApplyBlock(const chain::Block& block) override {
+    for (const chain::Transaction& tx : block.transactions()) {
+      for (chain::AccountId a : tx.accounts()) {
+        num_accounts_ = std::max<uint64_t>(num_accounts_, a + 1);
+      }
+    }
+    if (pending_ == nullptr) return;
+    std::unique_lock<std::mutex> lock(pending_->mu);
+    pending_->cv.wait(lock, [&] { return pending_->started; });
+    pending_->open = true;
+    pending_->cv.notify_all();
+    pending_->cv.wait(lock, [&] { return pending_->returned; });
+    lock.unlock();
+    pending_ = nullptr;
+    ++latched_runs_;
+  }
+
+  Result<alloc::Allocation> Allocate(
+      const allocator::AllocationContext&) override {
+    return Rebalance();
+  }
+
+  Result<alloc::Allocation> Rebalance() override {
+    return MappingFor(num_accounts_, params_.num_shards);
+  }
+
+  std::unique_ptr<allocator::RebalanceTask> BeginRebalance() override {
+    auto latch = std::make_shared<Latch>();
+    pending_ = latch;
+    const uint64_t frozen = num_accounts_;
+    const uint32_t shards = params_.num_shards;
+    return std::make_unique<allocator::ClosureRebalanceTask>(
+        [latch, frozen, shards]() -> Result<alloc::Allocation> {
+          Result<alloc::Allocation> mapping = MappingFor(frozen, shards);
+          std::unique_lock<std::mutex> lock(latch->mu);
+          latch->started = true;
+          latch->cv.notify_all();
+          latch->cv.wait(lock, [&] { return latch->open; });
+          latch->returned = true;
+          latch->cv.notify_all();
+          return mapping;
+        },
+        [](const Result<alloc::Allocation>&) { return Status(); });
+  }
+
+  uint64_t latched_runs() const { return latched_runs_; }
+
+ private:
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool started = false;
+    bool open = false;
+    bool returned = false;
+  };
+
+  static Result<alloc::Allocation> MappingFor(uint64_t accounts,
+                                              uint32_t shards) {
+    alloc::Allocation mapping(accounts, shards);
+    for (uint64_t a = 0; a < accounts; ++a) {
+      mapping.Assign(static_cast<chain::AccountId>(a),
+                     static_cast<alloc::ShardId>(a % shards));
+    }
+    return mapping;
+  }
+
+  uint64_t num_accounts_ = 0;
+  std::shared_ptr<Latch> pending_;
+  uint64_t latched_runs_ = 0;
+};
 
 void ExpectStepsIdentical(const engine::PipelineResult& a,
                           const engine::PipelineResult& b) {
@@ -227,15 +321,17 @@ TEST(BackgroundPipelineTest, BackgroundMatchesDeferredStepForStep) {
 }
 
 TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
-  // alloc_overlap_ratio > 0: at least part of the allocation latency hides
-  // behind execution. Submitting/ticking an epoch takes strictly positive
-  // wall time, so a cheap strategy's Run() always beats the driver to the
-  // next boundary.
+  // alloc_overlap_ratio > 0: part of the allocation latency hides behind
+  // execution. LatchedAllocator makes every Run() outlast the start of the
+  // next epoch's ingest, whatever the machine's load.
   const PipelineFixture f = MakeFixture(60, 31);
-  auto result = RunMode(f, "hash", engine::AllocatorMode::kBackground,
-                        /*producers=*/0, /*epoch_blocks=*/6);
+  LatchedAllocator latched(alloc::AllocationParams::ForExperiment(
+      f.ledger.num_transactions(), 4, 2.0));
+  auto result = RunOnline(f, &latched, engine::AllocatorMode::kBackground,
+                          /*producers=*/0, /*epoch_blocks=*/6);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->epochs, 5u);
+  EXPECT_EQ(latched.latched_runs(), result->epochs);
   EXPECT_GT(result->alloc_seconds, 0.0);
   EXPECT_GT(result->alloc_overlap_ratio, 0.0);
 }

@@ -62,9 +62,12 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> installs{0};
+  // do-while: the installer lands at least one snapshot however late it is
+  // scheduled, and the driver's join() waits for it, so reallocations >= 1
+  // below never depends on thread timing.
   std::thread allocator([&] {
     uint64_t round = 0;
-    while (!stop.load()) {
+    do {
       auto next = std::make_shared<alloc::Allocation>(accounts, k);
       for (size_t a = 0; a < accounts; ++a) {
         next->Assign(static_cast<chain::AccountId>(a),
@@ -74,7 +77,7 @@ TEST(EngineReallocTest, ConcurrentInstallsNeverStopTheWorkers) {
       installs.fetch_add(1);
       ++round;
       std::this_thread::yield();
-    }
+    } while (!stop.load());
   });
 
   std::vector<chain::Transaction> txs;

@@ -1,7 +1,8 @@
-// Multi-producer ingest: the IngestRouter fanning one block across N
-// producer threads into the engine's per-shard MPSC queues. The stress
-// tests are what the TSan CI job runs — routing reads, 2PC registration and
-// queue pushes all race across producers by design.
+// Multi-producer ingest routing: ParallelEngine::SubmitBlock fanning one
+// block across the threads of a common::FanOut into the engine's per-shard
+// MPSC queues. The stress tests are what the TSan CI job runs — routing
+// reads, 2PC registration and queue pushes all race across producers by
+// design.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "txallo/common/fan_out.h"
 #include "txallo/engine/engine.h"
-#include "txallo/engine/ingest_router.h"
 #include "txallo/workload/ethereum_like.h"
 
 namespace txallo {
@@ -48,11 +49,11 @@ engine::EngineReport RunLedger(const chain::Ledger& ledger, uint32_t k,
   config.work.capacity_per_block = capacity;
   config.hash_route_unassigned = true;
   engine::ParallelEngine engine(config, RoundRobin(2'000, k));
-  std::optional<engine::IngestRouter> router;
-  if (producers >= 2) router.emplace(&engine, producers);
+  std::optional<common::FanOut> fan_out;
+  if (producers >= 2) fan_out.emplace(producers);
   for (const chain::Block& block : ledger.blocks()) {
-    Status status = router ? router->SubmitBlock(block.transactions())
-                           : engine.SubmitBlock(block.transactions());
+    Status status = engine.SubmitBlock(block.transactions(),
+                                       fan_out ? &*fan_out : nullptr);
     EXPECT_TRUE(status.ok()) << status.ToString();
     engine.Tick();
   }
@@ -101,14 +102,14 @@ TEST(IngestRouterTest, MoreProducersThanTransactionsHandlesEmptySlices) {
   config.num_shards = 2;
   config.work.capacity_per_block = 100.0;
   engine::ParallelEngine engine(config, RoundRobin(8, 2));
-  engine::IngestRouter router(&engine, 8);
-  EXPECT_EQ(router.num_producers(), 8u);
+  common::FanOut fan_out(8);
+  EXPECT_EQ(fan_out.size(), 8u);
   std::vector<chain::Transaction> txs{chain::Transaction::Simple(0, 1),
                                       chain::Transaction::Simple(2, 3)};
-  ASSERT_TRUE(router.SubmitBlock(txs).ok());
+  ASSERT_TRUE(engine.SubmitBlock(txs, &fan_out).ok());
   engine.Tick();
   // An empty block is fine too.
-  ASSERT_TRUE(router.SubmitBlock({}).ok());
+  ASSERT_TRUE(engine.SubmitBlock({}, &fan_out).ok());
   engine.Tick();
   const engine::EngineReport report = engine.DrainAndReport();
   EXPECT_EQ(report.sim.submitted, 2u);
@@ -116,14 +117,14 @@ TEST(IngestRouterTest, MoreProducersThanTransactionsHandlesEmptySlices) {
 }
 
 TEST(IngestRouterTest, ProducerErrorsSurfaceToTheCaller) {
-  // No snapshot installed: every producer's SubmitTransactions fails; the
-  // router must report it rather than swallow it.
+  // No snapshot installed: the one non-empty slice fails on its pool
+  // thread; SubmitBlock must report it rather than swallow it.
   engine::EngineConfig config;
   config.num_shards = 2;
   engine::ParallelEngine engine(config, nullptr);
-  engine::IngestRouter router(&engine, 3);
+  common::FanOut fan_out(3);
   std::vector<chain::Transaction> txs{chain::Transaction::Simple(0, 1)};
-  Status status = router.SubmitBlock(txs);
+  Status status = engine.SubmitBlock(txs, &fan_out);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
@@ -139,7 +140,7 @@ TEST(IngestRouterTest, ConcurrentInstallsRaceParallelIngest) {
   config.num_threads = 2;
   config.work.capacity_per_block = 1'000.0;
   engine::ParallelEngine engine(config, RoundRobin(accounts, k));
-  engine::IngestRouter router(&engine, 3);
+  common::FanOut fan_out(3);
 
   std::atomic<bool> stop{false};
   std::thread allocator([&] {
@@ -164,7 +165,7 @@ TEST(IngestRouterTest, ConcurrentInstallsRaceParallelIngest) {
   }
   constexpr int kBlocks = 40;
   for (int b = 0; b < kBlocks; ++b) {
-    ASSERT_TRUE(router.SubmitBlock(txs).ok());
+    ASSERT_TRUE(engine.SubmitBlock(txs, &fan_out).ok());
     engine.Tick();
   }
   stop.store(true);

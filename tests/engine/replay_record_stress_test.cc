@@ -1,5 +1,5 @@
-// Trace recording under the full concurrency surface: raw
-// SubmitTransactions producers racing each other and a BackgroundAllocator
+// Trace recording under the full concurrency surface: fanned-out
+// SubmitBlock producers racing each other and a BackgroundAllocator
 // rebalance whose result installs mid-run, all while the engine records.
 // TSan (the "engine"/"replay" labels) proves the log is written race-free;
 // the assertions prove it is *complete* (totals match) and *canonical*
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "txallo/allocator/registry.h"
+#include "txallo/common/fan_out.h"
 #include "txallo/engine/background_allocator.h"
 #include "txallo/engine/engine.h"
 #include "txallo/engine/replay.h"
@@ -23,7 +24,7 @@ namespace {
 
 constexpr uint32_t kShards = 4;
 constexpr uint64_t kBlocks = 30;
-constexpr int kProducers = 4;
+constexpr uint32_t kProducers = 4;
 // The block at whose boundary the background rebalance result installs.
 constexpr uint64_t kInstallBoundary = 15;
 
@@ -84,9 +85,9 @@ alloc::Allocation ComputeMidRunMapping(const chain::Ledger& ledger,
   return std::move(outcome->mapping.value());
 }
 
-// One run of the scenario. `producers` > 1 slices every block across that
-// many concurrent SubmitTransactions threads (sequence ranges reserved
-// driver-side, so tags are schedule-independent); `background` computes
+// One run of the scenario. `producers` > 1 slices every block across a
+// common::FanOut of that many threads (SubmitBlock reserves each block's
+// tag range once, so tags are schedule-independent); `background` computes
 // the mid-run mapping on the worker, racing blocks [0, kInstallBoundary).
 // With producers == 1 and background == nullptr the same mapping must be
 // passed via `install`, replicating the install schedule synchronously.
@@ -97,11 +98,13 @@ struct StressRun {
 };
 
 StressRun RunScenario(const chain::Ledger& ledger, uint32_t threads,
-                      int producers, bool use_background,
+                      uint32_t producers, bool use_background,
                       const alloc::Allocation* install = nullptr) {
   engine::ParallelEngine engine(StressEngineConfig(threads),
                                 RoundRobin(1'200));
   engine.EnableTraceRecording();
+  std::optional<common::FanOut> fan_out;
+  if (producers > 1) fan_out.emplace(producers);
   std::optional<engine::BackgroundAllocator> background;
   std::thread compute;
   StressRun run;
@@ -126,30 +129,9 @@ StressRun RunScenario(const chain::Ledger& ledger, uint32_t threads,
     }
     const std::vector<chain::Transaction>& txs =
         ledger.blocks()[b].transactions();
-    // Driver-side range reservation: tags are global block positions, the
-    // same for every producer count.
-    const uint64_t base = engine.ReserveSequenceRange(txs.size());
-    if (producers <= 1) {
-      EXPECT_TRUE(engine.SubmitTransactions(txs.data(), txs.size(), base)
-                      .ok());
-    } else {
-      std::vector<std::thread> workers;
-      for (int p = 0; p < producers; ++p) {
-        const size_t begin = txs.size() * static_cast<size_t>(p) /
-                             static_cast<size_t>(producers);
-        const size_t end = txs.size() * static_cast<size_t>(p + 1) /
-                           static_cast<size_t>(producers);
-        workers.emplace_back([&, begin, end] {
-          if (end > begin) {
-            EXPECT_TRUE(engine
-                            .SubmitTransactions(txs.data() + begin,
-                                                end - begin, base + begin)
-                            .ok());
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
+    // SubmitBlock reserves the block's tag range once, so tags are global
+    // block positions, the same for every producer count.
+    EXPECT_TRUE(engine.SubmitBlock(txs, fan_out ? &*fan_out : nullptr).ok());
     engine.Tick();
   }
   run.report = engine.DrainAndReport();

@@ -39,7 +39,8 @@ engine::EngineConfig SmallEngineConfig() {
   return config;
 }
 
-engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger) {
+engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger,
+                                 const std::string& workload_spec = "") {
   allocator::AllocatorOptions options;
   options.params = alloc::AllocationParams::ForExperiment(
       ledger.num_transactions(), 4, 2.0);
@@ -49,6 +50,7 @@ engine::ReplayLog RecordSmallRun(const chain::Ledger& ledger) {
   engine::ReplayLog log;
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 4;
+  pipeline.workload_spec = workload_spec;
   pipeline.record = &log;
   auto result = engine::RunReallocatedStream(ledger, (*made)->AsOnline(),
                                              &engine, pipeline);
@@ -80,6 +82,28 @@ TEST(ReplayLogTest, BinaryRoundTripIsLossless) {
   auto replayed = engine::ReplayRecordedStream(ledger, *loaded, &engine,
                                                engine::PipelineConfig{});
   EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+}
+
+TEST(ReplayLogTest, ReplayWithoutASpecRunsUnderTheRecordedOne) {
+  // A replay that names no workload spec (the bench's --replay without
+  // --scenario) must verify against the recorded spec, not diverge on it.
+  const chain::Ledger ledger = MakeLedger();
+  const engine::ReplayLog log = RecordSmallRun(ledger, "ethereum:seed=5");
+  ASSERT_EQ(log.meta.workload_spec, "ethereum:seed=5");
+  {
+    engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+    auto replayed = engine::ReplayRecordedStream(ledger, log, &engine,
+                                                 engine::PipelineConfig{});
+    EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+  }
+  {
+    engine::ParallelEngine engine(SmallEngineConfig(), nullptr);
+    engine::PipelineConfig named;
+    named.workload_spec = "ethereum:seed=6";
+    auto replayed = engine::ReplayRecordedStream(ledger, log, &engine, named);
+    ASSERT_FALSE(replayed.ok());
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ReplayLogTest, RejectsMissingGarbageAndTruncatedFiles) {

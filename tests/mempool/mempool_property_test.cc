@@ -6,8 +6,8 @@
 //    admission spec (capacity bound, per-account pending limit, per-tick
 //    rate limit, fee-desc/seq-asc dispatch).
 //
-// 2. Producer-count independence: the same schedule pushed through a
-//    SubmitRouter with 1, 2, 4 and 7 producer threads yields byte-identical
+// 2. Producer-count independence: the same schedule offered through a
+//    common::FanOut with 1, 2, 4 and 7 threads yields byte-identical
 //    dispatch streams and identical AdmissionStats — the determinism claim
 //    the open-loop pipeline is built on, exercised at the component level
 //    with real thread interleavings.
@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "txallo/chain/transaction.h"
+#include "txallo/common/fan_out.h"
 #include "txallo/common/rng.h"
 #include "txallo/mempool/mempool.h"
-#include "txallo/mempool/submit_router.h"
 
 namespace txallo::mempool {
 namespace {
@@ -115,27 +115,31 @@ Stream ReferenceRun(const Schedule& schedule, const MempoolConfig& config,
 }
 
 // Runs the schedule through a real Mempool. `producers` = 0 submits
-// directly from the driver thread; >= 1 pushes each tick through a
-// SubmitRouter with that many producer threads.
+// directly from the driver thread; >= 1 offers each tick through a
+// common::FanOut with that many threads, each TrySubmit-ting one slice with
+// tags seq_base + i — the open-loop pipeline's offer step.
 Stream PoolRun(const Schedule& schedule, const MempoolConfig& config,
                uint32_t producers, AdmissionStats* stats_out) {
   Mempool pool(config);
-  std::optional<SubmitRouter> router;
-  if (producers >= 1) router.emplace(&pool, producers);
+  std::optional<common::FanOut> fan_out;
+  if (producers >= 1) fan_out.emplace(producers);
   Stream stream;
   uint64_t tick_number = 0;
   for (const auto& tick : schedule.ticks) {
     const uint64_t seq_base = pool.ReserveSequenceRange(tick.size());
-    if (router.has_value()) {
-      std::vector<chain::Transaction> txs;
-      std::vector<uint64_t> fees;
-      for (const Arrival& arrival : tick) {
-        txs.push_back(arrival.tx);
-        fees.push_back(arrival.fee);
-      }
-      EXPECT_EQ(router->SubmitBatch(txs.data(), fees.data(), txs.size(),
-                                    tick_number, seq_base),
-                txs.size());
+    if (fan_out.has_value()) {
+      std::vector<size_t> accepted(fan_out->size(), 0);
+      fan_out->Run(tick.size(), [&](uint32_t slice, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          if (pool.TrySubmit(tick[i].tx, tick[i].fee, tick_number,
+                             seq_base + i)) {
+            ++accepted[slice];
+          }
+        }
+      });
+      size_t total = 0;
+      for (size_t n : accepted) total += n;
+      EXPECT_EQ(total, tick.size());
     } else {
       for (size_t i = 0; i < tick.size(); ++i) {
         EXPECT_TRUE(pool.Submit(tick[i].tx, tick[i].fee, tick_number,

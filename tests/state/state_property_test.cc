@@ -39,8 +39,8 @@ StateConfig Config() {
   return config;
 }
 
-// Flat serial reference: one account map, no shards, no tries, no
-// copy-on-write — an independent re-statement of the staging contract
+// Flat serial reference: one account map, no shards, no tries — an
+// independent re-statement of the staging contract
 // (lazy funded creation, nonce check, spendable = balance - reserved,
 // commit applies credit-minus-debit and bumps the nonce of debited
 // accounts, abort releases reservations only).

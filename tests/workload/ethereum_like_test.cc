@@ -207,6 +207,17 @@ TEST(EthereumLikeConfigTest, MoreCommunitiesThanAccountsIsInvalid) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EthereumLikeConfigTest, AccountCountMustFitAccountIds) {
+  // 2^32 accounts would need ids up to 2^32 - 1, which is kInvalidAccount.
+  EthereumLikeConfig config = TestConfig();
+  config.num_accounts = uint64_t{1} << 32;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("num_accounts"), std::string::npos);
+  config.num_accounts = chain::kInvalidAccount;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 TEST(EthereumLikeConfigTest, FractionsMustStayInUnitInterval) {
   auto expect_invalid = [](EthereumLikeConfig config) {
     const Status status = config.Validate();

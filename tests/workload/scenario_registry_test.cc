@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "txallo/engine/replay.h"
 
@@ -97,6 +98,27 @@ TEST(ScenarioRegistryTest, MalformedNumbersAreRejectedNotTruncated) {
                                        SmallShape());
   ASSERT_FALSE(scenario.ok());
   EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ScenarioRegistryTest, NegativeAndOverflowingIntegersNameTheirKey) {
+  // Each of these used to be accepted: "-1" wrapped to 2^64 - 1 (a run
+  // that never finished building its registry) and the overflow clamped
+  // silently to 2^64 - 1.
+  const std::pair<const char*, const char*> bad_specs[] = {
+      {"ethereum:accounts=-1", "accounts"},
+      {"ethereum:blocks=-5", "blocks"},
+      {"spike:seed=99999999999999999999999", "seed"},
+      {"diurnal:width=-1", "width"},
+      {"ethereum:accounts=4294967296", "num_accounts"},
+  };
+  for (const auto& [spec, key] : bad_specs) {
+    SCOPED_TRACE(spec);
+    auto scenario = MakeScenarioFromSpec(spec, SmallShape());
+    ASSERT_FALSE(scenario.ok());
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(scenario.status().message().find(key), std::string::npos)
+        << scenario.status().message();
+  }
 }
 
 TEST(ScenarioRegistryTest, OutOfRangeValuesFailValidation) {

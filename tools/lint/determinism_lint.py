@@ -21,7 +21,8 @@ Rules (ids are what `allow(...)` escapes name):
                 discipline.
 
   raw-thread    std::thread / std::jthread and <thread> are forbidden.
-                Thread pools are structural in three engine files; each
+                Thread pools are structural in a few files (engine
+                workers, the background allocator, common/fan_out); each
                 use carries an explicit escape, keeping every spawn site
                 enumerable.
 
