@@ -12,14 +12,15 @@
 //     queues into local FIFOs and, once per tick, executes one block of work
 //     per owned shard under the shared sim::WorkModel cost semantics
 //     (η per cross part, λ capacity per block).
-//   * Cross-shard commits: workers vote PREPARED part-by-part into a
-//     TwoPhaseCoordinator; cross-shard transactions pay the extra commit
-//     round(s) of §I.
+//   * Cross-shard commits: after each tick's worker barrier the driver
+//     votes every finished part into a TwoPhaseCoordinator, in canonical
+//     (shard, lane-position) order; cross-shard transactions pay the extra
+//     commit round(s) of §I.
 //   * Online reallocation: InstallAllocation() swaps in a new copy-on-write
 //     std::shared_ptr<const Allocation> snapshot between block boundaries.
 //     Workers never read the allocation (routing happens at ingest), so the
 //     swap never stops them — the epoch hook in engine/pipeline.h drives it
-//     from core::TxAlloController.
+//     from any allocator::OnlineAllocator.
 //
 // Time is logical, in blocks: Tick() advances every shard by one block in
 // parallel and barriers before commit decisions are flushed, so for a given

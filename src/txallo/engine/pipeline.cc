@@ -83,7 +83,10 @@ class PipelineRun {
       : ledger_(ledger),
         alloc_(alloc),
         engine_(engine),
-        config_(config),
+        // A replay runs under the trace's run shape, not the caller's.
+        config_(config.replay != nullptr
+                    ? ReplayRunConfig(config.replay->meta, config)
+                    : config),
         replay_(config.replay),
         recording_(config.record != nullptr || config.replay != nullptr) {}
 
@@ -130,17 +133,9 @@ class PipelineRun {
   const chain::Ledger& ledger_;
   allocator::OnlineAllocator* const alloc_;
   ParallelEngine* const engine_;
-  const PipelineConfig& config_;
+  const PipelineConfig config_;
   const ReplayLog* const replay_;
   const bool recording_;
-
-  // Resolved from the replay meta when replaying, from config otherwise.
-  uint32_t blocks_per_epoch_ = 0;
-  IngestMode ingest_mode_ = IngestMode::kClosedLoop;
-  OpenLoopConfig open_loop_;
-  // One full-ledger hash per run, shared by the replay guard and the
-  // recorded meta.
-  uint64_t ledger_fingerprint_ = 0;
 
   PipelineResult result_;
   ReplayLog observed_;  // Built along the run when recording.
@@ -167,7 +162,7 @@ class PipelineRun {
 };
 
 Status PipelineRun::Validate() {
-  if (blocks_per_epoch_ == 0) {
+  if (config_.blocks_per_epoch == 0) {
     return Status::InvalidArgument("blocks_per_epoch must be positive");
   }
   if (engine_ == nullptr || (alloc_ == nullptr && replay_ == nullptr)) {
@@ -180,66 +175,33 @@ Status PipelineRun::Validate() {
         "accounts created since the last epoch have no shard in the "
         "allocator's snapshot and must hash-route until the next Rebalance");
   }
-  if (ingest_mode_ == IngestMode::kOpenLoop &&
-      !(open_loop_.offered_load > 0.0)) {
+  if (config_.ingest_mode == IngestMode::kOpenLoop &&
+      !(config_.open_loop.offered_load > 0.0)) {
     return Status::InvalidArgument(
         "open-loop ingest needs a positive offered_load (transactions per "
         "tick)");
   }
-  if (recording_) {
-    // A trace covers a run from block 0 with no traffic before it; ingested
-    // transactions that predate recording would leave phantom events (or,
-    // on replay, divergent streams) that only surface as a late Internal
-    // error instead of this loud one.
-    if (engine_->current_block() != 0 ||
-        engine_->Snapshot().sim.submitted != 0) {
-      return Status::InvalidArgument(
-          "record/replay needs a fresh engine: the trace must cover the run "
-          "from block 0 with no prior submissions");
-    }
-  } else if (ingest_mode_ == IngestMode::kOpenLoop) {
-    if (engine_->current_block() != 0 ||
-        engine_->Snapshot().sim.submitted != 0) {
-      return Status::InvalidArgument(
-          "open-loop ingest needs a fresh engine: commit observation must "
-          "precede the first submission");
-    }
+  // A trace covers a run from block 0 with no traffic before it; ingested
+  // transactions that predate recording would leave phantom events (or, on
+  // replay, divergent streams) that only surface as a late Internal error
+  // instead of this loud one. Open-loop commit observation must likewise
+  // precede the first submission.
+  if ((recording_ || config_.ingest_mode == IngestMode::kOpenLoop) &&
+      (engine_->current_block() != 0 ||
+       engine_->Snapshot().sim.submitted != 0)) {
+    return Status::InvalidArgument(
+        recording_ ? "record/replay needs a fresh engine: the trace must "
+                     "cover the run from block 0 with no prior submissions"
+                   : "open-loop ingest needs a fresh engine: commit "
+                     "observation must precede the first submission");
   }
-  ledger_fingerprint_ = recording_ ? FingerprintLedger(ledger_) : 0;
+  if (recording_) observed_.meta = RunMeta(engine_->config(), config_, ledger_);
   if (replay_ != nullptr) {
-    const EngineConfig& ec = engine_->config();
-    if (replay_->meta.num_shards != ec.num_shards ||
-        replay_->meta.eta != ec.work.eta ||
-        replay_->meta.capacity_per_block != ec.work.capacity_per_block ||
-        replay_->meta.cross_shard_commit_rounds !=
-            ec.work.cross_shard_commit_rounds) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under a different engine configuration "
-          "(shard count or work model)");
-    }
-    if (replay_->meta.state_enabled != ec.state.enabled ||
-        (ec.state.enabled &&
-         (replay_->meta.state_initial_balance != ec.state.initial_balance ||
-          replay_->meta.state_migration_work !=
-              ec.state.migration_work_per_account))) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under a different account-state "
-          "configuration (backend on/off, initial balance or migration "
-          "cost)");
-    }
-    if (!config_.workload_spec.empty() &&
-        replay_->meta.workload_spec != config_.workload_spec) {
-      return Status::InvalidArgument(
-          "replay trace was recorded under workload spec '" +
-          replay_->meta.workload_spec + "', not '" + config_.workload_spec +
-          "'");
-    }
-    if (replay_->meta.ledger_blocks != ledger_.num_blocks() ||
-        replay_->meta.ledger_transactions != ledger_.num_transactions() ||
-        replay_->meta.ledger_fingerprint != ledger_fingerprint_) {
-      return Status::InvalidArgument(
-          "replay trace was recorded over a different transaction stream "
-          "(ledger fingerprint mismatch)");
+    const std::string mismatch =
+        DescribeMetaDivergence(replay_->meta, observed_.meta);
+    if (!mismatch.empty()) {
+      return Status::InvalidArgument("replay trace does not match this run: " +
+                                     mismatch);
     }
     if (engine_->allocation_snapshot() != nullptr) {
       // The trace provides the initial mapping; a pre-installed snapshot
@@ -461,7 +423,7 @@ Status PipelineRun::CloseWindow(StepMetrics metrics, bool more_traffic) {
 }
 
 Status PipelineRun::RunClosedLoop() {
-  workload::BlockWindowStream epochs(&ledger_, blocks_per_epoch_);
+  workload::BlockWindowStream epochs(&ledger_, config_.blocks_per_epoch);
   while (!epochs.Done()) {
     const workload::BlockWindowStream::Window window = epochs.Next();
     for (size_t b = window.first_block_index; b < window.last_block_index;
@@ -519,25 +481,26 @@ Status PipelineRun::RunOpenLoop() {
   // engine fresh, so this precedes every registration.
   engine_->EnableCommitObservation();
 
-  mempool::MempoolConfig pool_config = open_loop_.mempool;
+  mempool::MempoolConfig pool_config = config_.open_loop.mempool;
   // Deterministic drops: with the offer fanned out, *which* arrival finds a
   // full staging buffer would depend on thread timing. Staging therefore
   // holds any single tick's offer, TrySubmit never refuses, and every drop
   // decision happens at the seal, in pool_seq order.
   const size_t tick_offer =
-      static_cast<size_t>(std::ceil(open_loop_.offered_load)) + 1;
+      static_cast<size_t>(std::ceil(config_.open_loop.offered_load)) + 1;
   pool_config.staging_capacity =
       std::max(pool_config.staging_capacity, tick_offer);
   mempool::Mempool pool(pool_config);
   std::optional<mempool::MempoolCleaner> cleaner;
-  if (open_loop_.cleaner) cleaner.emplace(&pool);
+  if (config_.open_loop.cleaner) cleaner.emplace(&pool);
   mempool::OfferedLoadGenerator generator(
       ledger_,
-      mempool::OfferedLoadConfig{open_loop_.offered_load,
-                                 open_loop_.fee_levels, open_loop_.fee_seed});
-  const size_t dispatch_cap = open_loop_.dispatch_per_tick == 0
+      mempool::OfferedLoadConfig{config_.open_loop.offered_load,
+                                 config_.open_loop.fee_levels,
+                                 config_.open_loop.fee_seed});
+  const size_t dispatch_cap = config_.open_loop.dispatch_per_tick == 0
                                   ? std::numeric_limits<size_t>::max()
-                                  : open_loop_.dispatch_per_tick;
+                                  : config_.open_loop.dispatch_per_tick;
 
   std::vector<mempool::OfferedTx> released;
   common::Histogram window_hist;
@@ -588,7 +551,7 @@ Status PipelineRun::RunOpenLoop() {
     }
 
     ++ticks_in_window;
-    if (ticks_in_window == blocks_per_epoch_) {
+    if (ticks_in_window == config_.blocks_per_epoch) {
       const bool drained = generator.Done() && pool.live_size() == 0 &&
                            pool.deferred_size() == 0 &&
                            pool.staged_size() == 0;
@@ -622,13 +585,13 @@ Status PipelineRun::Epilogue() {
   result_.report = engine_->DrainAndReport();
   // Commits decided during the drain still owe their latency samples.
   common::Histogram drain_hist;
-  if (ingest_mode_ == IngestMode::kOpenLoop) {
+  if (config_.ingest_mode == IngestMode::kOpenLoop) {
     RecordObservedCommits(&drain_hist);
   }
   if (result_.report.sim.blocks_elapsed > stream_end_block) {
     StepMetrics tail = WindowMetrics(result_.report, stream_end_block,
                                      result_.report.sim.blocks_elapsed);
-    if (ingest_mode_ == IngestMode::kOpenLoop) {
+    if (config_.ingest_mode == IngestMode::kOpenLoop) {
       tail.latency_p50_ticks = drain_hist.Percentile(50.0);
       tail.latency_p99_ticks = drain_hist.Percentile(99.0);
       tail.latency_p999_ticks = drain_hist.Percentile(99.9);
@@ -644,48 +607,6 @@ Status PipelineRun::Epilogue() {
     result_.epochs = replay_->epochs;
   }
   if (recording_) {
-    const EngineConfig& ec = engine_->config();
-    observed_.meta.num_shards = ec.num_shards;
-    observed_.meta.eta = ec.work.eta;
-    observed_.meta.capacity_per_block = ec.work.capacity_per_block;
-    observed_.meta.cross_shard_commit_rounds =
-        ec.work.cross_shard_commit_rounds;
-    // Normalized to zero when the backend is off, so meta equality can
-    // never hinge on a value the run ignored.
-    observed_.meta.state_enabled = ec.state.enabled;
-    observed_.meta.state_initial_balance =
-        ec.state.enabled ? ec.state.initial_balance : 0;
-    observed_.meta.state_migration_work =
-        ec.state.enabled ? ec.state.migration_work_per_account : 0.0;
-    observed_.meta.blocks_per_epoch = blocks_per_epoch_;
-    observed_.meta.ledger_blocks = ledger_.num_blocks();
-    observed_.meta.ledger_transactions = ledger_.num_transactions();
-    observed_.meta.ledger_fingerprint = ledger_fingerprint_;
-    // A replay that names no spec runs under the recorded one (Validate
-    // pinned any spec it does name to the trace's).
-    observed_.meta.workload_spec =
-        replay_ != nullptr && config_.workload_spec.empty()
-            ? replay_->meta.workload_spec
-            : config_.workload_spec;
-    observed_.meta.ingest_mode = static_cast<uint8_t>(ingest_mode_);
-    if (ingest_mode_ == IngestMode::kOpenLoop) {
-      // Same normalization rule: closed-loop traces keep the open-loop
-      // fields at their zero defaults.
-      observed_.meta.offered_load = open_loop_.offered_load;
-      observed_.meta.dispatch_per_tick = open_loop_.dispatch_per_tick;
-      observed_.meta.fee_levels = open_loop_.fee_levels;
-      observed_.meta.fee_seed = open_loop_.fee_seed;
-      observed_.meta.mempool_capacity = open_loop_.mempool.capacity;
-      observed_.meta.mempool_staging_capacity =
-          open_loop_.mempool.staging_capacity;
-      observed_.meta.account_pending_limit =
-          open_loop_.mempool.account_pending_limit;
-      observed_.meta.account_rate_limit =
-          open_loop_.mempool.account_rate_limit;
-      observed_.meta.ttl_ticks = open_loop_.mempool.ttl_ticks;
-      observed_.meta.admission_policy =
-          static_cast<uint8_t>(open_loop_.mempool.policy);
-    }
     observed_.steps = result_.steps;
     observed_.alloc_seconds = result_.alloc_seconds;
     observed_.alloc_wait_seconds = result_.alloc_wait_seconds;
@@ -710,30 +631,6 @@ Status PipelineRun::Epilogue() {
 }
 
 Result<PipelineResult> PipelineRun::Run() {
-  blocks_per_epoch_ = replay_ != nullptr ? replay_->meta.blocks_per_epoch
-                                         : config_.blocks_per_epoch;
-  ingest_mode_ = replay_ != nullptr
-                     ? static_cast<IngestMode>(replay_->meta.ingest_mode)
-                     : config_.ingest_mode;
-  open_loop_ = config_.open_loop;
-  if (replay_ != nullptr && ingest_mode_ == IngestMode::kOpenLoop) {
-    // The trace's driving parameters override the caller's — only the
-    // physical knobs (cleaner on/off, chunking) stay caller-controlled,
-    // because they cannot change any output.
-    open_loop_.offered_load = replay_->meta.offered_load;
-    open_loop_.dispatch_per_tick = replay_->meta.dispatch_per_tick;
-    open_loop_.fee_levels = replay_->meta.fee_levels;
-    open_loop_.fee_seed = replay_->meta.fee_seed;
-    open_loop_.mempool.capacity = replay_->meta.mempool_capacity;
-    open_loop_.mempool.staging_capacity =
-        replay_->meta.mempool_staging_capacity;
-    open_loop_.mempool.account_pending_limit =
-        replay_->meta.account_pending_limit;
-    open_loop_.mempool.account_rate_limit = replay_->meta.account_rate_limit;
-    open_loop_.mempool.ttl_ticks = replay_->meta.ttl_ticks;
-    open_loop_.mempool.policy =
-        static_cast<mempool::AdmissionPolicy>(replay_->meta.admission_policy);
-  }
   TXALLO_RETURN_NOT_OK(Validate());
   if (recording_) engine_->EnableTraceRecording();
 
@@ -748,7 +645,7 @@ Result<PipelineResult> PipelineRun::Run() {
 
   TXALLO_RETURN_NOT_OK(Bootstrap());
   prev_ = engine_->Snapshot();
-  if (ingest_mode_ == IngestMode::kOpenLoop) {
+  if (config_.ingest_mode == IngestMode::kOpenLoop) {
     TXALLO_RETURN_NOT_OK(RunOpenLoop());
   } else {
     TXALLO_RETURN_NOT_OK(RunClosedLoop());

@@ -1,8 +1,14 @@
 #include "txallo/engine/replay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "txallo/common/sha256.h"
 
@@ -12,104 +18,251 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'X', 'T', 'R', 'A', 'C', 'E', '4'};
 
-// Fixed-width little-endian primitives. Explicit byte shuffling (not
-// memcpy of host representation) so traces recorded on any platform load
-// on any other.
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Cursor over a loaded byte buffer; every read is bounds-checked and a
-// short buffer latches the failure flag instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (!Need(4)) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (!Need(8)) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool ReadBytes(uint8_t* dst, size_t n) {
-    if (!Need(n)) return false;
-    std::memcpy(dst, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  // u64 length + raw bytes; the length is bounds-checked against the
-  // remaining buffer before any allocation.
-  bool ReadString(std::string* v) {
-    uint64_t len = 0;
-    if (!ReadU64(&len)) return false;
-    if (len > remaining()) {
-      failed_ = true;
-      return false;
-    }
-    v->assign(data_.data() + pos_, static_cast<size_t>(len));
-    pos_ += static_cast<size_t>(len);
-    return true;
-  }
-
-  bool failed() const { return failed_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool Need(size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
+// The trace format is defined here, once: each record type has one field
+// list, in wire order, of (name, member, tag). The binary writer and reader,
+// the CSV dump and the divergence report (and through it the replay guard)
+// all walk these lists. The binary format carries every field; the tag
+// decides where else a field goes.
+enum Tag {
+  // Re-derived by a replay: dumped to CSV and compared.
+  kLogical,
+  // Deterministic, but a replay copies it from the trace rather than
+  // re-deriving it (no allocator runs on replay): dumped, never compared.
+  kCopied,
+  // A wall-clock observation, copied on replay too: binary only.
+  kWall,
 };
+
+// Field lists are overloads on the record type: VisitFields(Of<T>{}, v).
+template <typename Record>
+using Of = std::type_identity<Record>;
+
+template <typename V>
+constexpr void VisitFields(Of<ReplayLog::Meta>, V&& v) {
+  using M = ReplayLog::Meta;
+  v("num_shards", &M::num_shards, kLogical);
+  v("eta", &M::eta, kLogical);
+  v("capacity_per_block", &M::capacity_per_block, kLogical);
+  v("cross_shard_commit_rounds", &M::cross_shard_commit_rounds, kLogical);
+  v("state_enabled", &M::state_enabled, kLogical);
+  v("state_initial_balance", &M::state_initial_balance, kLogical);
+  v("state_migration_work", &M::state_migration_work, kLogical);
+  v("blocks_per_epoch", &M::blocks_per_epoch, kLogical);
+  v("ledger_blocks", &M::ledger_blocks, kLogical);
+  v("ledger_transactions", &M::ledger_transactions, kLogical);
+  v("ledger_fingerprint", &M::ledger_fingerprint, kLogical);
+  v("ingest_mode", &M::ingest_mode, kLogical);
+  v("offered_load", &M::offered_load, kLogical);
+  v("dispatch_per_tick", &M::dispatch_per_tick, kLogical);
+  v("fee_levels", &M::fee_levels, kLogical);
+  v("fee_seed", &M::fee_seed, kLogical);
+  v("mempool_capacity", &M::mempool_capacity, kLogical);
+  v("mempool_staging_capacity", &M::mempool_staging_capacity, kLogical);
+  v("account_pending_limit", &M::account_pending_limit, kLogical);
+  v("account_rate_limit", &M::account_rate_limit, kLogical);
+  v("ttl_ticks", &M::ttl_ticks, kLogical);
+  v("admission_policy", &M::admission_policy, kLogical);
+  v("workload_spec", &M::workload_spec, kLogical);
+}
+
+// The log-level scalars, written right after the meta (and dumped as meta
+// rows).
+template <typename V>
+constexpr void VisitFields(Of<ReplayLog>, V&& v) {
+  v("alloc_seconds", &ReplayLog::alloc_seconds, kWall);
+  v("alloc_wait_seconds", &ReplayLog::alloc_wait_seconds, kWall);
+  v("alloc_overlap_ratio", &ReplayLog::alloc_overlap_ratio, kWall);
+  v("epochs", &ReplayLog::epochs, kCopied);
+  v("accounts_moved", &ReplayLog::accounts_moved, kLogical);
+}
+
+template <typename V>
+constexpr void VisitFields(Of<PrepareEvent>, V&& v) {
+  v("block", &PrepareEvent::block, kLogical);
+  v("shard", &PrepareEvent::shard, kLogical);
+  v("seq", &PrepareEvent::seq, kLogical);
+}
+
+template <typename V>
+constexpr void VisitFields(Of<CommitEvent>, V&& v) {
+  v("block", &CommitEvent::block, kLogical);
+  v("seq", &CommitEvent::seq, kLogical);
+  v("cross_shard", &CommitEvent::cross_shard, kLogical);
+  v("aborted", &CommitEvent::aborted, kLogical);
+}
+
+template <typename V>
+constexpr void VisitFields(Of<TickStateRoot>, V&& v) {
+  v("block", &TickStateRoot::block, kLogical);
+  v("root", &TickStateRoot::root, kLogical);
+}
+
+// The one variable-length record: the mapping goes on the wire as its
+// account count, shard count and one u32 shard per account.
+template <typename V>
+constexpr void VisitFields(Of<InstallEvent>, V&& v) {
+  v("block", &InstallEvent::block, kLogical);
+  v("allocation", &InstallEvent::allocation, kLogical);
+}
+
+template <typename V>
+constexpr void VisitFields(Of<StepMetrics>, V&& v) {
+  using S = StepMetrics;
+  v("step", &S::step, kLogical);
+  v("first_block", &S::first_block, kLogical);
+  v("last_block", &S::last_block, kLogical);
+  v("submitted", &S::submitted, kLogical);
+  v("committed", &S::committed, kLogical);
+  v("cross_shard_submitted", &S::cross_shard_submitted, kLogical);
+  v("throughput_per_block", &S::throughput_per_block, kLogical);
+  v("cross_shard_ratio", &S::cross_shard_ratio, kLogical);
+  v("alloc_seconds", &S::alloc_seconds, kWall);
+  v("alloc_wait_seconds", &S::alloc_wait_seconds, kWall);
+  v("installed", &S::installed, kLogical);
+  v("aborted", &S::aborted, kLogical);
+  v("accounts_migrated", &S::accounts_migrated, kLogical);
+  v("offered", &S::offered, kLogical);
+  v("admitted", &S::admitted, kLogical);
+  v("admission_dropped", &S::admission_dropped, kLogical);
+  v("mempool_depth", &S::mempool_depth, kLogical);
+  v("mempool_peak_depth", &S::mempool_peak_depth, kLogical);
+  v("latency_p50_ticks", &S::latency_p50_ticks, kLogical);
+  v("latency_p99_ticks", &S::latency_p99_ticks, kLogical);
+  v("latency_p999_ticks", &S::latency_p999_ticks, kLogical);
+}
+
+// Fewest wire bytes a field can take: a string's length prefix, an
+// allocation's two counts.
+template <typename T>
+constexpr size_t MinWireBytes() {
+  if constexpr (std::is_same_v<T, std::string>) return 8;
+  if constexpr (std::is_same_v<T, alloc::Allocation>) return 8 + 4;
+  return sizeof(T);
+}
+
+// Fewest wire bytes of one record, derived from its field list: the reader
+// checks every count against it before resizing.
+template <typename Record>
+constexpr size_t MinRecordBytes() {
+  size_t bytes = 0;
+  VisitFields(Of<Record>{}, [&bytes](const char*, auto field, Tag) {
+    bytes += MinWireBytes<
+        std::remove_cvref_t<decltype(std::declval<Record&>().*field)>>();
+  });
+  return bytes;
+}
+// The TXTRACE4 record sizes: a list edit that moves one of these changes the
+// format, which needs a magic bump and a regenerated golden fixture.
+static_assert(MinRecordBytes<PrepareEvent>() == 20);
+static_assert(MinRecordBytes<CommitEvent>() == 18);
+static_assert(MinRecordBytes<TickStateRoot>() == 40);
+static_assert(MinRecordBytes<InstallEvent>() == 20);
+static_assert(MinRecordBytes<StepMetrics>() == 161);
+
+// Appends one field: integers and flags as sizeof(T) little-endian bytes
+// (explicit byte shuffling, not host memcpy, so a trace recorded on any
+// platform loads on any other), doubles as their IEEE-754 bits, digests
+// raw, strings as a u64 length plus the bytes.
+template <typename T>
+void Put(std::string* out, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    Put(out, static_cast<uint64_t>(v.size()));
+    out->append(v);
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    out->append(reinterpret_cast<const char*>(v.data()), v.size());
+  } else if constexpr (std::is_same_v<T, alloc::Allocation>) {
+    Put(out, static_cast<uint64_t>(v.num_accounts()));
+    Put(out, v.num_shards());
+    for (alloc::ShardId shard : v.raw()) Put(out, shard);
+  } else if constexpr (std::is_same_v<T, double>) {
+    Put(out, std::bit_cast<uint64_t>(v));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      out->push_back(
+          static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xff));
+    }
+  }
+}
+
+template <typename Record>
+void PutFields(std::string* out, const Record& record) {
+  VisitFields(Of<Record>{},
+              [&](const char*, auto field, Tag) { Put(out, record.*field); });
+}
+
+template <typename Record>
+void PutStream(std::string* out, const std::vector<Record>& records) {
+  Put(out, static_cast<uint64_t>(records.size()));
+  for (const Record& record : records) PutFields(out, record);
+}
+
+// Consumes one field from the front of `in`; false when `in` is too short
+// or the field is malformed. A length or count is checked against the bytes
+// left before anything is allocated, and an installed shard against its
+// mapping's shard count.
+template <typename T>
+bool Read(std::string_view* in, T* v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    uint64_t len = 0;
+    if (!Read(in, &len) || len > in->size()) return false;
+    v->assign(in->substr(0, static_cast<size_t>(len)));
+    in->remove_prefix(static_cast<size_t>(len));
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    if (in->size() < v->size()) return false;
+    std::memcpy(v->data(), in->data(), v->size());
+    in->remove_prefix(v->size());
+  } else if constexpr (std::is_same_v<T, alloc::Allocation>) {
+    uint64_t num_accounts = 0;
+    uint32_t num_shards = 0;
+    if (!Read(in, &num_accounts) || !Read(in, &num_shards) ||
+        num_accounts > in->size() / sizeof(alloc::ShardId)) {
+      return false;
+    }
+    *v = alloc::Allocation(num_accounts, num_shards);
+    for (uint64_t a = 0; a < num_accounts; ++a) {
+      alloc::ShardId shard = 0;
+      if (!Read(in, &shard)) return false;
+      if (shard == alloc::kUnassignedShard) continue;
+      if (shard >= num_shards) return false;
+      v->Assign(static_cast<chain::AccountId>(a), shard);
+    }
+  } else {
+    if (in->size() < sizeof(T)) return false;
+    uint64_t bits = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bits |= static_cast<uint64_t>(static_cast<uint8_t>((*in)[i])) << (8 * i);
+    }
+    in->remove_prefix(sizeof(T));
+    if constexpr (std::is_same_v<T, double>) {
+      *v = std::bit_cast<double>(bits);
+    } else {
+      *v = static_cast<T>(bits);
+    }
+  }
+  return true;
+}
+
+template <typename Record>
+bool ReadFields(std::string_view* in, Record* record) {
+  bool ok = true;
+  VisitFields(Of<Record>{}, [&](const char*, auto field, Tag) {
+    ok = ok && Read(in, &(record->*field));
+  });
+  return ok;
+}
+
+template <typename Record>
+bool ReadStream(std::string_view* in, std::vector<Record>* records) {
+  uint64_t count = 0;
+  if (!Read(in, &count) || count > in->size() / MinRecordBytes<Record>()) {
+    return false;
+  }
+  records->resize(count);
+  for (Record& record : *records) {
+    if (!ReadFields(in, &record)) return false;
+  }
+  return true;
+}
 
 void HashU64(Sha256* hasher, uint64_t v) {
   uint8_t bytes[8];
@@ -117,7 +270,123 @@ void HashU64(Sha256* hasher, uint64_t v) {
   hasher->Update(bytes, sizeof(bytes));
 }
 
+// One field as text: flags and u8 enums as integers, digests as hex, a
+// mapping summarized as "accounts,shards,content hash" (the binary trace
+// is the machine-readable artifact), the rest as the stream prints them.
+template <typename T>
+void Print(std::ostream& os, const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, uint8_t>) {
+    os << static_cast<uint32_t>(v);
+  } else if constexpr (std::is_same_v<T, Sha256Digest>) {
+    os << DigestToHex(v);
+  } else if constexpr (std::is_same_v<T, alloc::Allocation>) {
+    Sha256 hasher;
+    for (alloc::ShardId shard : v.raw()) HashU64(&hasher, shard);
+    os << v.num_accounts() << ',' << v.num_shards() << ','
+       << DigestToHex(hasher.Finish()).substr(0, 16);
+  } else {
+    os << v;
+  }
+}
+
+// CSV rows: one `meta,<name>,<value>` row per field of a meta-like record,
+// or one `<kind>,<values...>` row per stream record. Wall fields are left
+// out.
+template <typename Record>
+void DumpMetaRows(std::ostream& os, const Record& record) {
+  VisitFields(Of<Record>{}, [&](const char* name, auto field, Tag tag) {
+    if (tag == kWall) return;
+    os << "meta," << name << ',';
+    Print(os, record.*field);
+    os << '\n';
+  });
+}
+
+template <typename Record>
+void DumpRows(std::ostream& os, const char* kind,
+              const std::vector<Record>& records) {
+  for (const Record& record : records) {
+    os << kind;
+    VisitFields(Of<Record>{}, [&](const char*, auto field, Tag tag) {
+      if (tag == kWall) return;
+      os << ',';
+      Print(os, record.*field);
+    });
+    os << '\n';
+  }
+}
+
 std::string U64(uint64_t v) { return std::to_string(v); }
+
+// Round-trip precision, so two doubles that differ never read the same.
+template <typename T>
+std::string Text(const T& v) {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  Print(os, v);
+  return os.str();
+}
+
+// "<label><name>: recorded X vs replayed Y" for the first logical field
+// that differs, "" when none does.
+template <typename Record>
+std::string FirstDifference(const std::string& label, const Record& recorded,
+                            const Record& replayed) {
+  std::string out;
+  VisitFields(Of<Record>{}, [&](const char* name, auto field, Tag tag) {
+    if (out.empty() && tag == kLogical &&
+        !(recorded.*field == replayed.*field)) {
+      out = label + name + ": recorded " + Text(recorded.*field) +
+            " vs replayed " + Text(replayed.*field);
+    }
+  });
+  return out;
+}
+
+template <typename Record>
+std::string StreamDifference(const std::string& kind,
+                             const std::vector<Record>& recorded,
+                             const std::vector<Record>& replayed) {
+  if (recorded.size() != replayed.size()) {
+    return kind + " count: recorded " + U64(recorded.size()) +
+           " vs replayed " + U64(replayed.size());
+  }
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    // operator== is the fast path; it also sees the wall fields, which
+    // FirstDifference skips.
+    if (recorded[i] == replayed[i]) continue;
+    std::string diff =
+        FirstDifference(kind + "[" + U64(i) + "].", recorded[i], replayed[i]);
+    if (!diff.empty()) return diff;
+  }
+  return "";
+}
+
+// The open-loop driving parameters a trace pins, each beside the
+// OpenLoopConfig field it records: RunMeta copies them into the meta,
+// ReplayRunConfig back out.
+template <bool kIntoMeta, typename Meta, typename Config>
+void CopyOpenLoop(Meta& meta, Config& config) {
+  const auto copy = [](auto& meta_field, auto& config_field) {
+    if constexpr (kIntoMeta) {
+      meta_field = static_cast<std::remove_cvref_t<decltype(meta_field)>>(
+          config_field);
+    } else {
+      config_field = static_cast<std::remove_cvref_t<decltype(config_field)>>(
+          meta_field);
+    }
+  };
+  copy(meta.offered_load, config.offered_load);
+  copy(meta.dispatch_per_tick, config.dispatch_per_tick);
+  copy(meta.fee_levels, config.fee_levels);
+  copy(meta.fee_seed, config.fee_seed);
+  copy(meta.mempool_capacity, config.mempool.capacity);
+  copy(meta.mempool_staging_capacity, config.mempool.staging_capacity);
+  copy(meta.account_pending_limit, config.mempool.account_pending_limit);
+  copy(meta.account_rate_limit, config.mempool.account_rate_limit);
+  copy(meta.ttl_ticks, config.mempool.ttl_ticks);
+  copy(meta.admission_policy, config.mempool.policy);
+}
 
 }  // namespace
 
@@ -141,94 +410,63 @@ uint64_t FingerprintLedger(const chain::Ledger& ledger) {
   return fingerprint;
 }
 
+std::string DescribeMetaDivergence(const ReplayLog::Meta& recorded,
+                                   const ReplayLog::Meta& replayed) {
+  return FirstDifference("meta.", recorded, replayed);
+}
+
 std::string DescribeTraceDivergence(const ReplayLog& recorded,
                                     const ReplayLog& replayed) {
-  if (!(recorded.meta == replayed.meta)) {
-    return "trace meta differs (shards/work model/epoch cadence/ledger "
-           "fingerprint)";
-  }
-  if (recorded.prepares.size() != replayed.prepares.size()) {
-    return "prepare stream length: recorded " + U64(recorded.prepares.size()) +
-           " vs replayed " + U64(replayed.prepares.size());
-  }
-  for (size_t i = 0; i < recorded.prepares.size(); ++i) {
-    const PrepareEvent& a = recorded.prepares[i];
-    const PrepareEvent& b = replayed.prepares[i];
-    if (!(a == b)) {
-      return "prepare[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", shard=" + U64(a.shard) + ", seq=" + U64(a.seq) +
-             ") vs replayed (block=" + U64(b.block) + ", shard=" +
-             U64(b.shard) + ", seq=" + U64(b.seq) + ")";
-    }
-  }
-  if (recorded.commits.size() != replayed.commits.size()) {
-    return "commit stream length: recorded " + U64(recorded.commits.size()) +
-           " vs replayed " + U64(replayed.commits.size());
-  }
-  for (size_t i = 0; i < recorded.commits.size(); ++i) {
-    const CommitEvent& a = recorded.commits[i];
-    const CommitEvent& b = replayed.commits[i];
-    if (!(a == b)) {
-      return "commit[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", seq=" + U64(a.seq) + ", cross=" + U64(a.cross_shard) +
-             ", aborted=" + U64(a.aborted) + ") vs replayed (block=" +
-             U64(b.block) + ", seq=" + U64(b.seq) + ", cross=" +
-             U64(b.cross_shard) + ", aborted=" + U64(b.aborted) + ")";
-    }
-  }
-  if (recorded.state_roots.size() != replayed.state_roots.size()) {
-    return "state-root stream length: recorded " +
-           U64(recorded.state_roots.size()) + " vs replayed " +
-           U64(replayed.state_roots.size());
-  }
-  for (size_t i = 0; i < recorded.state_roots.size(); ++i) {
-    const TickStateRoot& a = recorded.state_roots[i];
-    const TickStateRoot& b = replayed.state_roots[i];
-    if (!(a == b)) {
-      return "state root[" + U64(i) + "]: recorded (block=" + U64(a.block) +
-             ", root=" + DigestToHex(a.root).substr(0, 16) +
-             "…) vs replayed (block=" + U64(b.block) + ", root=" +
-             DigestToHex(b.root).substr(0, 16) + "…)";
-    }
-  }
-  if (recorded.installs.size() != replayed.installs.size()) {
-    return "install count: recorded " + U64(recorded.installs.size()) +
-           " vs replayed " + U64(replayed.installs.size());
-  }
-  for (size_t i = 0; i < recorded.installs.size(); ++i) {
-    if (!(recorded.installs[i] == replayed.installs[i])) {
-      return "install[" + U64(i) + "] at block " +
-             U64(recorded.installs[i].block) +
-             ": mapping or block differs";
-    }
-  }
-  if (recorded.steps.size() != replayed.steps.size()) {
-    return "step count: recorded " + U64(recorded.steps.size()) +
-           " vs replayed " + U64(replayed.steps.size());
-  }
-  for (size_t i = 0; i < recorded.steps.size(); ++i) {
-    // Wall-clock fields are not reproducible; compare logical content only.
-    StepMetrics a = recorded.steps[i];
-    StepMetrics b = replayed.steps[i];
-    a.alloc_seconds = b.alloc_seconds = 0.0;
-    a.alloc_wait_seconds = b.alloc_wait_seconds = 0.0;
-    if (!(a == b)) {
-      return "step[" + U64(i) + "]: recorded (submitted=" + U64(a.submitted) +
-             ", committed=" + U64(a.committed) + ", cross=" +
-             U64(a.cross_shard_submitted) + ", aborted=" + U64(a.aborted) +
-             ", migrated=" + U64(a.accounts_migrated) + ", installed=" +
-             U64(a.installed) + ") vs replayed (submitted=" +
-             U64(b.submitted) + ", committed=" + U64(b.committed) +
-             ", cross=" + U64(b.cross_shard_submitted) + ", aborted=" +
-             U64(b.aborted) + ", migrated=" + U64(b.accounts_migrated) +
-             ", installed=" + U64(b.installed) + ")";
-    }
-  }
-  if (recorded.accounts_moved != replayed.accounts_moved) {
-    return "accounts_moved: recorded " + U64(recorded.accounts_moved) +
-           " vs replayed " + U64(replayed.accounts_moved);
+  for (const std::string& diff :
+       {DescribeMetaDivergence(recorded.meta, replayed.meta),
+        StreamDifference("prepare", recorded.prepares, replayed.prepares),
+        StreamDifference("commit", recorded.commits, replayed.commits),
+        StreamDifference("state_root", recorded.state_roots,
+                         replayed.state_roots),
+        StreamDifference("install", recorded.installs, replayed.installs),
+        StreamDifference("step", recorded.steps, replayed.steps),
+        FirstDifference("", recorded, replayed)}) {
+    if (!diff.empty()) return diff;
   }
   return "";
+}
+
+ReplayLog::Meta RunMeta(const EngineConfig& engine,
+                        const PipelineConfig& config,
+                        const chain::Ledger& ledger) {
+  ReplayLog::Meta meta;
+  meta.num_shards = engine.num_shards;
+  meta.eta = engine.work.eta;
+  meta.capacity_per_block = engine.work.capacity_per_block;
+  meta.cross_shard_commit_rounds = engine.work.cross_shard_commit_rounds;
+  // Settings the run ignores stay zero, so two metas can only differ in a
+  // value that changed what ran.
+  meta.state_enabled = engine.state.enabled;
+  if (engine.state.enabled) {
+    meta.state_initial_balance = engine.state.initial_balance;
+    meta.state_migration_work = engine.state.migration_work_per_account;
+  }
+  meta.blocks_per_epoch = config.blocks_per_epoch;
+  meta.ledger_blocks = ledger.num_blocks();
+  meta.ledger_transactions = ledger.num_transactions();
+  meta.ledger_fingerprint = FingerprintLedger(ledger);
+  meta.ingest_mode = static_cast<uint8_t>(config.ingest_mode);
+  if (config.ingest_mode == IngestMode::kOpenLoop) {
+    CopyOpenLoop</*kIntoMeta=*/true>(meta, config.open_loop);
+  }
+  meta.workload_spec = config.workload_spec;
+  return meta;
+}
+
+PipelineConfig ReplayRunConfig(const ReplayLog::Meta& meta,
+                               PipelineConfig config) {
+  config.blocks_per_epoch = meta.blocks_per_epoch;
+  config.ingest_mode = static_cast<IngestMode>(meta.ingest_mode);
+  if (config.ingest_mode == IngestMode::kOpenLoop) {
+    CopyOpenLoop</*kIntoMeta=*/false>(meta, config.open_loop);
+  }
+  if (config.workload_spec.empty()) config.workload_spec = meta.workload_spec;
+  return config;
 }
 
 namespace {
@@ -318,87 +556,14 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
 }
 
 Status SaveReplayLog(const ReplayLog& log, const std::string& path) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, log.meta.num_shards);
-  PutF64(&out, log.meta.eta);
-  PutF64(&out, log.meta.capacity_per_block);
-  PutU32(&out, log.meta.cross_shard_commit_rounds);
-  PutU8(&out, log.meta.state_enabled ? 1 : 0);
-  PutU64(&out, static_cast<uint64_t>(log.meta.state_initial_balance));
-  PutF64(&out, log.meta.state_migration_work);
-  PutU32(&out, log.meta.blocks_per_epoch);
-  PutU64(&out, log.meta.ledger_blocks);
-  PutU64(&out, log.meta.ledger_transactions);
-  PutU64(&out, log.meta.ledger_fingerprint);
-  PutU8(&out, log.meta.ingest_mode);
-  PutF64(&out, log.meta.offered_load);
-  PutU32(&out, log.meta.dispatch_per_tick);
-  PutU32(&out, log.meta.fee_levels);
-  PutU64(&out, log.meta.fee_seed);
-  PutU64(&out, log.meta.mempool_capacity);
-  PutU64(&out, log.meta.mempool_staging_capacity);
-  PutU32(&out, log.meta.account_pending_limit);
-  PutU32(&out, log.meta.account_rate_limit);
-  PutU64(&out, log.meta.ttl_ticks);
-  PutU8(&out, log.meta.admission_policy);
-  PutU64(&out, log.meta.workload_spec.size());
-  out.append(log.meta.workload_spec);
-  PutF64(&out, log.alloc_seconds);
-  PutF64(&out, log.alloc_wait_seconds);
-  PutF64(&out, log.alloc_overlap_ratio);
-  PutU64(&out, log.epochs);
-  PutU64(&out, log.accounts_moved);
-  PutU64(&out, log.prepares.size());
-  for (const PrepareEvent& event : log.prepares) {
-    PutU64(&out, event.block);
-    PutU32(&out, event.shard);
-    PutU64(&out, event.seq);
-  }
-  PutU64(&out, log.commits.size());
-  for (const CommitEvent& event : log.commits) {
-    PutU64(&out, event.block);
-    PutU64(&out, event.seq);
-    PutU8(&out, event.cross_shard ? 1 : 0);
-    PutU8(&out, event.aborted ? 1 : 0);
-  }
-  PutU64(&out, log.state_roots.size());
-  for (const TickStateRoot& root : log.state_roots) {
-    PutU64(&out, root.block);
-    out.append(reinterpret_cast<const char*>(root.root.data()),
-               root.root.size());
-  }
-  PutU64(&out, log.installs.size());
-  for (const InstallEvent& event : log.installs) {
-    PutU64(&out, event.block);
-    PutU64(&out, event.allocation.num_accounts());
-    PutU32(&out, event.allocation.num_shards());
-    for (alloc::ShardId shard : event.allocation.raw()) PutU32(&out, shard);
-  }
-  PutU64(&out, log.steps.size());
-  for (const StepMetrics& step : log.steps) {
-    PutU64(&out, step.step);
-    PutU64(&out, step.first_block);
-    PutU64(&out, step.last_block);
-    PutU64(&out, step.submitted);
-    PutU64(&out, step.committed);
-    PutU64(&out, step.cross_shard_submitted);
-    PutF64(&out, step.throughput_per_block);
-    PutF64(&out, step.cross_shard_ratio);
-    PutF64(&out, step.alloc_seconds);
-    PutF64(&out, step.alloc_wait_seconds);
-    PutU8(&out, step.installed ? 1 : 0);
-    PutU64(&out, step.aborted);
-    PutU64(&out, step.accounts_migrated);
-    PutU64(&out, step.offered);
-    PutU64(&out, step.admitted);
-    PutU64(&out, step.admission_dropped);
-    PutU64(&out, step.mempool_depth);
-    PutU64(&out, step.mempool_peak_depth);
-    PutU64(&out, step.latency_p50_ticks);
-    PutU64(&out, step.latency_p99_ticks);
-    PutU64(&out, step.latency_p999_ticks);
-  }
+  std::string out(kMagic, sizeof(kMagic));
+  PutFields(&out, log.meta);
+  PutFields(&out, log);
+  PutStream(&out, log.prepares);
+  PutStream(&out, log.commits);
+  PutStream(&out, log.state_roots);
+  PutStream(&out, log.installs);
+  PutStream(&out, log.steps);
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file.is_open()) {
     return Status::IOError("cannot open '" + path + "' for writing");
@@ -416,138 +581,23 @@ Result<ReplayLog> LoadReplayLog(const std::string& path) {
   if (!file.is_open()) {
     return Status::IOError("cannot open trace '" + path + "'");
   }
-  std::string data((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  const std::string data = std::move(buffer).str();
   if (data.size() < sizeof(kMagic) ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("'" + path +
                               "' is not a TXTRACE4 replay trace");
   }
-  const std::string body = data.substr(sizeof(kMagic));
-  Reader reader(body);
+  std::string_view in = std::string_view(data).substr(sizeof(kMagic));
   ReplayLog log;
-  uint8_t flag = 0;
-  uint64_t balance_bits = 0;
-  bool ok = reader.ReadU32(&log.meta.num_shards) &&
-            reader.ReadF64(&log.meta.eta) &&
-            reader.ReadF64(&log.meta.capacity_per_block) &&
-            reader.ReadU32(&log.meta.cross_shard_commit_rounds) &&
-            reader.ReadU8(&flag) && reader.ReadU64(&balance_bits) &&
-            reader.ReadF64(&log.meta.state_migration_work) &&
-            reader.ReadU32(&log.meta.blocks_per_epoch) &&
-            reader.ReadU64(&log.meta.ledger_blocks) &&
-            reader.ReadU64(&log.meta.ledger_transactions) &&
-            reader.ReadU64(&log.meta.ledger_fingerprint) &&
-            reader.ReadU8(&log.meta.ingest_mode) &&
-            reader.ReadF64(&log.meta.offered_load) &&
-            reader.ReadU32(&log.meta.dispatch_per_tick) &&
-            reader.ReadU32(&log.meta.fee_levels) &&
-            reader.ReadU64(&log.meta.fee_seed) &&
-            reader.ReadU64(&log.meta.mempool_capacity) &&
-            reader.ReadU64(&log.meta.mempool_staging_capacity) &&
-            reader.ReadU32(&log.meta.account_pending_limit) &&
-            reader.ReadU32(&log.meta.account_rate_limit) &&
-            reader.ReadU64(&log.meta.ttl_ticks) &&
-            reader.ReadU8(&log.meta.admission_policy) &&
-            reader.ReadString(&log.meta.workload_spec) &&
-            reader.ReadF64(&log.alloc_seconds) &&
-            reader.ReadF64(&log.alloc_wait_seconds) &&
-            reader.ReadF64(&log.alloc_overlap_ratio) &&
-            reader.ReadU64(&log.epochs) &&
-            reader.ReadU64(&log.accounts_moved);
-  log.meta.state_enabled = flag != 0;
-  log.meta.state_initial_balance = static_cast<int64_t>(balance_bits);
-  uint64_t count = 0;
-  ok = ok && reader.ReadU64(&count);
-  // 20 bytes per prepare: reject counts the remaining bytes cannot hold
-  // before reserving (a corrupt length cannot balloon the allocation).
-  if (ok && count > reader.remaining() / 20) ok = false;
-  if (ok) {
-    log.prepares.resize(count);
-    for (PrepareEvent& event : log.prepares) {
-      ok = ok && reader.ReadU64(&event.block) && reader.ReadU32(&event.shard) &&
-           reader.ReadU64(&event.seq);
-    }
-  }
-  ok = ok && reader.ReadU64(&count);
-  // 18 bytes per commit: block + seq + the cross-shard and aborted flags.
-  if (ok && count > reader.remaining() / 18) ok = false;
-  if (ok) {
-    log.commits.resize(count);
-    for (CommitEvent& event : log.commits) {
-      ok = ok && reader.ReadU64(&event.block) && reader.ReadU64(&event.seq) &&
-           reader.ReadU8(&flag);
-      event.cross_shard = flag != 0;
-      ok = ok && reader.ReadU8(&flag);
-      event.aborted = flag != 0;
-    }
-  }
-  ok = ok && reader.ReadU64(&count);
-  // 40 bytes per state root: the block index + a raw 32-byte digest.
-  if (ok && count > reader.remaining() / 40) ok = false;
-  if (ok) {
-    log.state_roots.resize(count);
-    for (TickStateRoot& root : log.state_roots) {
-      ok = ok && reader.ReadU64(&root.block) &&
-           reader.ReadBytes(root.root.data(), root.root.size());
-    }
-  }
-  ok = ok && reader.ReadU64(&count);
-  if (ok && count > reader.remaining() / 20) ok = false;
-  if (ok) {
-    log.installs.resize(count);
-    for (InstallEvent& event : log.installs) {
-      uint64_t num_accounts = 0;
-      uint32_t num_shards = 0;
-      ok = ok && reader.ReadU64(&event.block) &&
-           reader.ReadU64(&num_accounts) && reader.ReadU32(&num_shards);
-      if (ok && num_accounts > reader.remaining() / 4) ok = false;
-      if (!ok) break;
-      event.allocation = alloc::Allocation(num_accounts, num_shards);
-      for (uint64_t a = 0; a < num_accounts; ++a) {
-        uint32_t shard = 0;
-        ok = ok && reader.ReadU32(&shard);
-        if (!ok) break;
-        if (shard != alloc::kUnassignedShard) {
-          if (shard >= num_shards) {
-            ok = false;
-            break;
-          }
-          event.allocation.Assign(static_cast<chain::AccountId>(a), shard);
-        }
-      }
-    }
-  }
-  ok = ok && reader.ReadU64(&count);
-  // 161 bytes per step: 16 u64 counters + 4 f64 metrics + the installed
-  // flag.
-  if (ok && count > reader.remaining() / 161) ok = false;
-  if (ok) {
-    log.steps.resize(count);
-    for (StepMetrics& step : log.steps) {
-      ok = ok && reader.ReadU64(&step.step) &&
-           reader.ReadU64(&step.first_block) &&
-           reader.ReadU64(&step.last_block) &&
-           reader.ReadU64(&step.submitted) &&
-           reader.ReadU64(&step.committed) &&
-           reader.ReadU64(&step.cross_shard_submitted) &&
-           reader.ReadF64(&step.throughput_per_block) &&
-           reader.ReadF64(&step.cross_shard_ratio) &&
-           reader.ReadF64(&step.alloc_seconds) &&
-           reader.ReadF64(&step.alloc_wait_seconds) && reader.ReadU8(&flag);
-      step.installed = flag != 0;
-      ok = ok && reader.ReadU64(&step.aborted) &&
-           reader.ReadU64(&step.accounts_migrated) &&
-           reader.ReadU64(&step.offered) && reader.ReadU64(&step.admitted) &&
-           reader.ReadU64(&step.admission_dropped) &&
-           reader.ReadU64(&step.mempool_depth) &&
-           reader.ReadU64(&step.mempool_peak_depth) &&
-           reader.ReadU64(&step.latency_p50_ticks) &&
-           reader.ReadU64(&step.latency_p99_ticks) &&
-           reader.ReadU64(&step.latency_p999_ticks);
-    }
-  }
-  if (!ok || reader.failed() || !reader.AtEnd()) {
+  const bool ok = ReadFields(&in, &log.meta) && ReadFields(&in, &log) &&
+                  ReadStream(&in, &log.prepares) &&
+                  ReadStream(&in, &log.commits) &&
+                  ReadStream(&in, &log.state_roots) &&
+                  ReadStream(&in, &log.installs) &&
+                  ReadStream(&in, &log.steps);
+  if (!ok || !in.empty()) {
     return Status::Corruption("trace '" + path +
                               "' is truncated or corrupt");
   }
@@ -560,75 +610,13 @@ Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
   file << "kind,a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s\n";
-  file << "meta,num_shards," << log.meta.num_shards << "\n";
-  file << "meta,eta," << log.meta.eta << "\n";
-  file << "meta,capacity_per_block," << log.meta.capacity_per_block << "\n";
-  file << "meta,cross_shard_commit_rounds,"
-       << log.meta.cross_shard_commit_rounds << "\n";
-  file << "meta,state_enabled," << (log.meta.state_enabled ? 1 : 0) << "\n";
-  file << "meta,state_initial_balance," << log.meta.state_initial_balance
-       << "\n";
-  file << "meta,state_migration_work," << log.meta.state_migration_work
-       << "\n";
-  file << "meta,blocks_per_epoch," << log.meta.blocks_per_epoch << "\n";
-  file << "meta,ledger_blocks," << log.meta.ledger_blocks << "\n";
-  file << "meta,ledger_transactions," << log.meta.ledger_transactions << "\n";
-  file << "meta,ledger_fingerprint," << log.meta.ledger_fingerprint << "\n";
-  file << "meta,ingest_mode," << static_cast<uint32_t>(log.meta.ingest_mode)
-       << "\n";
-  file << "meta,offered_load," << log.meta.offered_load << "\n";
-  file << "meta,dispatch_per_tick," << log.meta.dispatch_per_tick << "\n";
-  file << "meta,fee_levels," << log.meta.fee_levels << "\n";
-  file << "meta,fee_seed," << log.meta.fee_seed << "\n";
-  file << "meta,mempool_capacity," << log.meta.mempool_capacity << "\n";
-  file << "meta,mempool_staging_capacity," << log.meta.mempool_staging_capacity
-       << "\n";
-  file << "meta,account_pending_limit," << log.meta.account_pending_limit
-       << "\n";
-  file << "meta,account_rate_limit," << log.meta.account_rate_limit << "\n";
-  file << "meta,ttl_ticks," << log.meta.ttl_ticks << "\n";
-  file << "meta,admission_policy,"
-       << static_cast<uint32_t>(log.meta.admission_policy) << "\n";
-  file << "meta,workload_spec," << log.meta.workload_spec << "\n";
-  file << "meta,epochs," << log.epochs << "\n";
-  file << "meta,accounts_moved," << log.accounts_moved << "\n";
-  for (const StepMetrics& step : log.steps) {
-    file << "step," << step.step << ',' << step.first_block << ','
-         << step.last_block << ',' << step.submitted << ',' << step.committed
-         << ',' << step.cross_shard_submitted << ','
-         << step.throughput_per_block << ',' << step.cross_shard_ratio << ','
-         << (step.installed ? 1 : 0) << ',' << step.aborted << ','
-         << step.accounts_migrated << ',' << step.offered << ','
-         << step.admitted << ',' << step.admission_dropped << ','
-         << step.mempool_depth << ',' << step.mempool_peak_depth << ','
-         << step.latency_p50_ticks << ',' << step.latency_p99_ticks << ','
-         << step.latency_p999_ticks << "\n";
-  }
-  for (const InstallEvent& event : log.installs) {
-    // The mapping itself is summarized (size + content hash); the binary
-    // trace is the machine-readable artifact.
-    Sha256 hasher;
-    for (alloc::ShardId shard : event.allocation.raw()) {
-      HashU64(&hasher, shard);
-    }
-    file << "install," << event.block << ','
-         << event.allocation.num_accounts() << ','
-         << event.allocation.num_shards() << ','
-         << DigestToHex(hasher.Finish()).substr(0, 16) << "\n";
-  }
-  for (const PrepareEvent& event : log.prepares) {
-    file << "prepare," << event.block << ',' << event.shard << ','
-         << event.seq << "\n";
-  }
-  for (const CommitEvent& event : log.commits) {
-    file << "commit," << event.block << ',' << event.seq << ','
-         << (event.cross_shard ? 1 : 0) << ',' << (event.aborted ? 1 : 0)
-         << "\n";
-  }
-  for (const TickStateRoot& root : log.state_roots) {
-    file << "state_root," << root.block << ',' << DigestToHex(root.root)
-         << "\n";
-  }
+  DumpMetaRows(file, log.meta);
+  DumpMetaRows(file, log);
+  DumpRows(file, "step", log.steps);
+  DumpRows(file, "install", log.installs);
+  DumpRows(file, "prepare", log.prepares);
+  DumpRows(file, "commit", log.commits);
+  DumpRows(file, "state_root", log.state_roots);
   file.flush();
   if (!file.good()) {
     return Status::IOError("short write to '" + path + "'");

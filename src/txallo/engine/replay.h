@@ -126,11 +126,35 @@ class ReplayLog {
 uint64_t FingerprintLedger(const chain::Ledger& ledger);
 
 /// First difference between two logs' *deterministic* content — meta,
-/// prepare/commit/install/state-root streams, steps' logical fields and
-/// accounts_moved — or "" when bit-identical. Wall-clock fields
-/// (alloc_seconds & co.) are not compared.
+/// prepare/commit/state-root/install streams, steps' logical fields and
+/// accounts_moved — as "<field>: recorded X vs replayed Y" (e.g.
+/// "commit[12].aborted: recorded 0 vs replayed 1"), or "" when
+/// bit-identical. Wall-clock fields (alloc_seconds & co.) and the copied
+/// epoch count are not compared.
 std::string DescribeTraceDivergence(const ReplayLog& recorded,
                                     const ReplayLog& replayed);
+
+/// The meta part of DescribeTraceDivergence: "meta.<field>: recorded X vs
+/// replayed Y" for the first differing field, or "". The replay guard
+/// compares a trace's meta against RunMeta of the replaying run with it.
+std::string DescribeMetaDivergence(const ReplayLog::Meta& recorded,
+                                   const ReplayLog::Meta& replayed);
+
+/// The meta a run of `config` on an engine configured as `engine` over
+/// `ledger` records. Settings the run ignores are normalized to zero (the
+/// state fields with the backend off, the open-loop fields in a closed-loop
+/// run), so two metas differ only in a value that changed what ran.
+ReplayLog::Meta RunMeta(const EngineConfig& engine,
+                        const PipelineConfig& config,
+                        const chain::Ledger& ledger);
+
+/// The config a replay of a trace with `meta` runs under: `config` with the
+/// trace's epoch cadence, ingest mode and open-loop driving parameters, and
+/// its workload spec when `config` names none. Physical knobs (producers,
+/// threads, the mempool cleaner, chunk sizes) stay the caller's: they
+/// cannot change any recorded byte.
+PipelineConfig ReplayRunConfig(const ReplayLog::Meta& meta,
+                               PipelineConfig config);
 
 /// Companion to DescribeTraceDivergence for prepare-order bugs: splits both
 /// logs' prepare streams into per-shard lanes and prints, for every lane
@@ -157,22 +181,30 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
                                             const PipelineConfig& config);
 
 /// Writes `log` in the compact binary trace format (magic "TXTRACE4",
-/// fixed-width little-endian fields). Version 2 added the account-state
-/// meta fields, the CommitEvent aborted flag, the per-step
-/// aborted/accounts_migrated counters and the state-root stream; version 3
-/// added the ingest-mode / open-loop meta fields and the per-step open-loop
-/// counters (offered/admitted/drops/depths/latency percentiles); version 4
-/// added the workload_spec meta string (scenario engine). Older traces are
+/// fixed-width little-endian fields). The format is defined once, in
+/// replay.cc: one field list per record (ReplayLog::Meta, the log-level
+/// scalars, PrepareEvent, CommitEvent, TickStateRoot, InstallEvent,
+/// StepMetrics), in wire order, each field tagged *logical* (re-derived by
+/// a replay: dumped to CSV and diffed), *copied* (logical, but taken from
+/// the trace on replay: dumped, not diffed) or *wall* (a wall-clock
+/// observation: binary only). The writer, the reader, the CSV dump,
+/// DescribeTraceDivergence and the replay guard (DescribeMetaDivergence)
+/// all walk those lists, so adding a field is one list entry plus a magic
+/// bump and a regenerated golden fixture (`regen-golden-trace`, which
+/// rewrites golden_small.trace and golden_small.csv). Older traces are
 /// rejected as version drift, not silently upgraded — the recorded
 /// semantics genuinely differ.
 Status SaveReplayLog(const ReplayLog& log, const std::string& path);
 
 /// Reads a trace written by SaveReplayLog. Corruption and version drift
-/// surface as Corruption errors.
+/// surface as Corruption errors: every count is checked against the bytes
+/// left before anything is allocated, every installed shard against the
+/// mapping's shard count, and trailing bytes are corruption too.
 Result<ReplayLog> LoadReplayLog(const std::string& path);
 
-/// One-way human-readable dump: one CSV row per meta field / install /
-/// step / prepare / commit, tagged by a leading `kind` column.
+/// One-way human-readable dump: one CSV row per non-wall meta field /
+/// step / install / prepare / commit / state root, tagged by a leading
+/// `kind` column.
 Status DumpReplayLogCsv(const ReplayLog& log, const std::string& path);
 
 }  // namespace txallo::engine

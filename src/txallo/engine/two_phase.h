@@ -1,21 +1,25 @@
 // Cross-shard two-phase commit coordinator.
 //
-// Each shard worker executes its part of a transaction and then votes
-// part-by-part; once every participant shard has voted, the coordinator
-// issues the decision. A unanimously-PREPARED intra-shard transaction
-// commits in place; a cross-shard one pays the extra consensus round(s) of
-// §I — the decision lands `cross_shard_commit_rounds` blocks after the
-// last prepare — matching sim::ShardSimulator's semantics exactly, which
-// is what the engine/simulator parity tests pin down. A transaction with
+// Each shard worker executes its part of a transaction; after the tick's
+// barrier the driver casts one vote per finished part. Once every
+// participant shard has voted, the coordinator issues the decision. A
+// unanimously-PREPARED intra-shard transaction commits in place; a
+// cross-shard one pays the extra consensus round(s) of §I — the decision
+// lands `cross_shard_commit_rounds` blocks after the last prepare —
+// matching sim::ShardSimulator's semantics exactly, which is what the
+// engine/simulator parity tests pin down. A transaction with
 // any failed vote (insufficient balance / bad nonce against the state
 // backend) ABORTS at the last-vote block: an abort needs no extra
 // consensus round — participants simply drop their staged thunks.
 //
-// Thread-safety: PartExecuted() is called concurrently by shard workers
-// mid-tick; Register()/FlushDelayed()/stats() are driver-side. Everything is
-// guarded by one annotated mutex (common/sync.h; Clang -Wthread-safety
-// checks the discipline) — the coordinator is touched once per transaction
-// part, not per work unit, so contention is bounded by routing fan-out.
+// Thread-safety: Register() runs on whichever thread submits a block — the
+// ingest producers of a common::FanOut run it concurrently. Votes are cast
+// by the driver after the tick's worker barrier, in canonical (shard,
+// lane-position) order, as are FlushDelayed() and the decision drain.
+// Everything is guarded by one annotated mutex (common/sync.h; Clang
+// -Wthread-safety checks the discipline) — the coordinator is touched once
+// per transaction part, not per work unit, so contention is bounded by
+// routing fan-out.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +74,7 @@ class TwoPhaseCoordinator {
   /// Registers a transaction entering execution at `arrival_block` with
   /// `participants` distinct shards. `seq` is the transaction's ingest
   /// sequence tag, carried into recorded CommitEvents. Returns its
-  /// transaction index (the handle shard workers vote with).
+  /// transaction index (the handle votes name).
   uint64_t Register(uint64_t arrival_block, uint32_t participants,
                     bool cross_shard, uint64_t seq);
 
@@ -95,11 +99,6 @@ class TwoPhaseCoordinator {
   /// intra-shard transaction commits at `block`; a unanimous cross-shard
   /// one is scheduled for `model.CommitBlock(block, true)`.
   void PartExecuted(uint64_t tx_index, uint64_t block, bool ok);
-
-  /// Legacy PREPARED vote (always ok) — the pure cost model's path.
-  void PartPrepared(uint64_t tx_index, uint64_t block) {
-    PartExecuted(tx_index, block, /*ok=*/true);
-  }
 
   /// Driver-side, once per block after workers quiesce: commits every
   /// scheduled cross-shard transaction whose decision round has arrived.

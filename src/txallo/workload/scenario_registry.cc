@@ -27,6 +27,30 @@ Status ReadFraction(const OptionMap& options, const std::string& key,
   return Status::OK();
 }
 
+// Caps on the keys that size an allocation up front (a block's transaction
+// vector, a pre-created account pool, one transaction's output list), so a
+// typo like pool=2^40 fails as InvalidArgument instead of std::bad_alloc.
+// The usage text shows them.
+constexpr uint64_t kMaxTxsPerBlock = uint64_t{1} << 20;
+constexpr uint64_t kMaxNewAccounts = uint64_t{1} << 24;
+constexpr uint64_t kMaxFanout = 1024;
+
+// Reads `key` like ReadUint64, then caps the resolved value: the key's, or
+// the default already in *out.
+template <typename T>
+Status ReadCapped(const OptionMap& options, const std::string& key,
+                  uint64_t cap, T* out) {
+  uint64_t value = *out;
+  TXALLO_RETURN_NOT_OK(ReadUint64(options, key, &value));
+  if (value > cap) {
+    return Status::InvalidArgument("option '" + key + "' must be <= " +
+                                   std::to_string(cap) + ", got " +
+                                   std::to_string(value));
+  }
+  *out = static_cast<T>(value);
+  return Status::OK();
+}
+
 // Shape keys every scenario accepts (applied before the specific keys).
 constexpr const char* kCommonKeys[] = {
     "blocks", "txs-per-block", "accounts", "communities", "balance", "seed",
@@ -34,8 +58,8 @@ constexpr const char* kCommonKeys[] = {
 
 Status ApplyCommonKeys(const OptionMap& options, ScenarioShape* shape) {
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "blocks", &shape->num_blocks));
-  TXALLO_RETURN_NOT_OK(
-      ReadUint64(options, "txs-per-block", &shape->txs_per_block));
+  TXALLO_RETURN_NOT_OK(ReadCapped(options, "txs-per-block", kMaxTxsPerBlock,
+                                  &shape->txs_per_block));
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "accounts", &shape->num_accounts));
   TXALLO_RETURN_NOT_OK(
       ReadUint32(options, "communities", &shape->num_communities));
@@ -152,7 +176,8 @@ Result<std::unique_ptr<Scenario>> MakeChurn(const std::string& spec,
   params.horizon_blocks = shape.num_blocks;
   params.pool = std::max<uint64_t>(1, shape.num_accounts / 16);
   params.lifetime = std::max<uint64_t>(1, shape.num_blocks / 4);
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "pool", &params.pool));
+  TXALLO_RETURN_NOT_OK(
+      ReadCapped(options, "pool", kMaxNewAccounts, &params.pool));
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "lifetime", &params.lifetime));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "intra", &params.intra));
@@ -172,7 +197,8 @@ Result<std::unique_ptr<Scenario>> MakeMultiAsset(const std::string& spec,
   TXALLO_RETURN_NOT_OK(
       ExpectOnly(name, options, {"assets", "share", "asset-skew"}));
   MultiAssetParams params;
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "assets", &params.assets));
+  TXALLO_RETURN_NOT_OK(
+      ReadCapped(options, "assets", kMaxNewAccounts, &params.assets));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options, "asset-skew", &params.asset_skew));
@@ -193,7 +219,8 @@ Status ReadShardAttackParams(const OptionMap& options,
                              ShardAttackParams* params) {
   TXALLO_RETURN_NOT_OK(ReadUint32(options, "shards", &params->shards));
   TXALLO_RETURN_NOT_OK(ReadUint32(options, "target", &params->target));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "attackers", &params->attackers));
+  TXALLO_RETURN_NOT_OK(
+      ReadCapped(options, "attackers", kMaxNewAccounts, &params->attackers));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options, "victim-skew", &params->victim_skew));
@@ -233,8 +260,10 @@ Result<std::unique_ptr<Scenario>> MakeShardAttack(const std::string& spec,
 Status ReadSybilParams(const OptionMap& options, const ScenarioShape& shape,
                        SybilParams* params) {
   params->horizon_blocks = shape.num_blocks;
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "sybils", &params->sybils));
-  TXALLO_RETURN_NOT_OK(ReadUint32(options, "fanout", &params->fanout));
+  TXALLO_RETURN_NOT_OK(
+      ReadCapped(options, "sybils", kMaxNewAccounts, &params->sybils));
+  TXALLO_RETURN_NOT_OK(
+      ReadCapped(options, "fanout", kMaxFanout, &params->fanout));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
   if (params->sybils == 0) {
     return Status::InvalidArgument("scenario 'sybil': sybils must be > 0");
@@ -310,6 +339,8 @@ struct OptionDocLit {
   const char* default_value;
   const char* range;
   const char* help;
+  /// Cap on the resolved value (0 = none).
+  uint64_t max = 0;
 };
 
 constexpr OptionDocLit kEthereumOptionDocs[] = {
@@ -344,7 +375,8 @@ constexpr OptionDocLit kDiurnalOptionDocs[] = {
     {"width", "uint", "4", ">= 1", "communities awake at once"},
 };
 constexpr OptionDocLit kChurnOptionDocs[] = {
-    {"pool", "uint", "accounts/16", ">= 1", "short-lived account pool size"},
+    {"pool", "uint", "accounts/16", ">= 1", "short-lived account pool size",
+     kMaxNewAccounts},
     {"lifetime", "uint", "blocks/4", ">= 1",
      "blocks from an account's birth to its death"},
     {"share", "double", "0.3", "[0, 1]", "fraction of traffic that churns"},
@@ -352,7 +384,8 @@ constexpr OptionDocLit kChurnOptionDocs[] = {
      "probability a churn counterparty is another live churn account"},
 };
 constexpr OptionDocLit kMultiAssetOptionDocs[] = {
-    {"assets", "uint", "8", ">= 1", "distinct asset contract accounts"},
+    {"assets", "uint", "8", ">= 1", "distinct asset contract accounts",
+     kMaxNewAccounts},
     {"share", "double", "0.4", "[0, 1]",
      "fraction of transfers carrying an asset output"},
     {"asset-skew", "double", "1.0", ">= 0",
@@ -362,14 +395,17 @@ constexpr OptionDocLit kShardAttackOptionDocs[] = {
     {"shards", "uint", "8", ">= 1",
      "shard count the attack is tuned against (match the engine's k)"},
     {"target", "uint", "0", "< shards", "victim shard under hash routing"},
-    {"attackers", "uint", "64", ">= 1", "fresh attacker accounts"},
+    {"attackers", "uint", "64", ">= 1", "fresh attacker accounts",
+     kMaxNewAccounts},
     {"share", "double", "0.4", "[0, 1]", "attack traffic fraction"},
     {"victim-skew", "double", "1.0", ">= 0",
      "Zipf skew over the victim shard's resident accounts"},
 };
 constexpr OptionDocLit kSybilOptionDocs[] = {
-    {"sybils", "uint", "512", ">= 1", "fresh sybil addresses born over the run"},
-    {"fanout", "uint", "4", ">= 1", "outputs per sybil transaction"},
+    {"sybils", "uint", "512", ">= 1", "fresh sybil addresses born over the run",
+     kMaxNewAccounts},
+    {"fanout", "uint", "4", ">= 1", "outputs per sybil transaction",
+     kMaxFanout},
     {"share", "double", "0.3", "[0, 1]", "sybil traffic fraction"},
 };
 constexpr OptionDocLit kStressOptionDocs[] = {
@@ -484,9 +520,11 @@ std::vector<ScenarioDoc> DescribeScenarios() {
     doc.options.reserve(entry.num_options);
     for (size_t i = 0; i < entry.num_options; ++i) {
       const OptionDocLit& option = entry.options[i];
+      std::string range = option.range;
+      if (option.max != 0) range += ", <= " + std::to_string(option.max);
       doc.options.push_back(ScenarioOptionDoc{option.key, option.type,
-                                              option.default_value,
-                                              option.range, option.help});
+                                              option.default_value, range,
+                                              option.help});
     }
     docs.push_back(std::move(doc));
   }
@@ -497,8 +535,10 @@ std::string ScenarioUsageText() {
   std::string out =
       "Scenario specs: NAME or NAME:key=value[,key=value...]\n\n"
       "Common shape keys (every scenario): blocks=<uint>, "
-      "txs-per-block=<uint>, accounts=<uint>, communities=<uint>, "
-      "balance=<int>, seed=<uint>\n\n";
+      "txs-per-block=<uint> (<= " +
+      std::to_string(kMaxTxsPerBlock) +
+      "), accounts=<uint>, communities=<uint>, balance=<int>, "
+      "seed=<uint>\n\n";
   for (const ScenarioDoc& doc : DescribeScenarios()) {
     out += doc.name + "\n    " + doc.summary + "\n";
     if (doc.options.empty()) {

@@ -1,6 +1,6 @@
-// Regenerates the committed golden trace fixture. Not a test — the
-// `regen-golden-trace` CMake target runs it with the testdata path after
-// an intentional behaviour change:
+// Regenerates the committed golden trace fixture and its CSV dump. Not a
+// test — the `regen-golden-trace` CMake target runs it with the testdata
+// paths after an intentional behaviour or format change:
 //
 //   cmake --build build --target regen-golden-trace
 //
@@ -12,8 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace txallo;
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <output-trace-path>\n", argv[0]);
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: %s <output-trace-path> <output-csv-path>\n",
+                 argv[0]);
     return 2;
   }
   auto log = testing::RecordGoldenTrace();
@@ -24,6 +25,10 @@ int main(int argc, char** argv) {
   }
   if (Status saved = engine::SaveReplayLog(*log, argv[1]); !saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+    return 1;
+  }
+  if (Status dumped = engine::DumpReplayLogCsv(*log, argv[2]); !dumped.ok()) {
+    std::fprintf(stderr, "%s\n", dumped.ToString().c_str());
     return 1;
   }
   std::printf("wrote %s: %zu prepares, %zu commits, %zu installs, %zu steps\n",

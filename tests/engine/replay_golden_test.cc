@@ -4,12 +4,19 @@
 // metrics series, alloc_overlap_ratio — under every thread count and
 // ingest fan-out, and the committed fixture in testdata/ pins today's
 // canonical execution against silent behaviour drift (regenerate it
-// deliberately with the `regen-golden-trace` target).
+// deliberately with the `regen-golden-trace` target). The fixture also pins
+// the trace format: it must re-save byte for byte, dump to the committed
+// CSV, and survive seeded mutation without crashing the loader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "golden_trace_fixture.h"
+#include "txallo/common/rng.h"
 #include "txallo/engine/replay.h"
 #include "txallo/workload/ethereum_like.h"
 
@@ -19,6 +26,21 @@
 
 namespace txallo {
 namespace {
+
+std::string TestdataPath(const std::string& file) {
+  return std::string(TXALLO_TESTDATA_DIR) + "/" + file;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 chain::Ledger GoldenLedger() {
   workload::EthereumLikeGenerator generator(testing::GoldenWorkloadConfig());
@@ -120,6 +142,108 @@ TEST(ReplayGoldenTest, CommittedFixtureMatchesFreshRecording) {
   EXPECT_EQ(engine::DescribeTraceDivergence(*fixture, *fresh), "")
       << "intentional change? regenerate via the regen-golden-trace target "
          "and review the fixture diff";
+}
+
+TEST(ReplayGoldenTest, CommittedFixtureResavesByteIdentically) {
+  const std::string path = TestdataPath(testing::kGoldenTraceFile);
+  auto fixture = engine::LoadReplayLog(path);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  const std::string resaved = ::testing::TempDir() + "golden_resaved.trace";
+  ASSERT_TRUE(engine::SaveReplayLog(*fixture, resaved).ok());
+  EXPECT_TRUE(ReadFile(resaved) == ReadFile(path))
+      << "SaveReplayLog no longer writes the TXTRACE4 bytes it reads";
+}
+
+TEST(ReplayGoldenTest, CommittedFixtureDumpsToTheCommittedCsv) {
+  // golden_small.csv pins the dump's header, row order and number
+  // formatting; the regen-golden-trace target rewrites it with the trace.
+  auto fixture =
+      engine::LoadReplayLog(TestdataPath(testing::kGoldenTraceFile));
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  const std::string dumped = ::testing::TempDir() + "golden_dump.csv";
+  ASSERT_TRUE(engine::DumpReplayLogCsv(*fixture, dumped).ok());
+  EXPECT_TRUE(ReadFile(dumped) == ReadFile(TestdataPath("golden_small.csv")))
+      << "CSV dump drifted; diff " << dumped << " against testdata";
+}
+
+TEST(ReplayGoldenTest, SeededMutationsLoadOrFailAsCorruption) {
+  const std::string path = TestdataPath(testing::kGoldenTraceFile);
+  const std::string bytes = ReadFile(path);
+  auto log = engine::LoadReplayLog(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+
+  // Offsets of every u64 length or count in the fixture, walked from the
+  // loaded log with the TXTRACE4 record sizes.
+  std::vector<size_t> counts;
+  size_t pos = 8 + 127;  // Magic, then the fixed-width meta fields.
+  counts.push_back(pos);  // workload_spec length.
+  pos += 8 + log->meta.workload_spec.size() + 5 * 8;  // + log scalars.
+  counts.push_back(pos);
+  pos += 8 + 20 * log->prepares.size();
+  counts.push_back(pos);
+  pos += 8 + 18 * log->commits.size();
+  counts.push_back(pos);
+  pos += 8 + 40 * log->state_roots.size();
+  counts.push_back(pos);
+  pos += 8;
+  for (const engine::InstallEvent& install : log->installs) {
+    counts.push_back(pos + 8);  // The mapping's account count.
+    pos += 8 + 8 + 4 + 4 * install.allocation.num_accounts();
+  }
+  counts.push_back(pos);
+  pos += 8 + 161 * log->steps.size();
+  ASSERT_EQ(pos, bytes.size()) << "count offsets no longer walk the file";
+
+  Rng rng(20240613);
+  const std::string mutated_path = ::testing::TempDir() + "mutated.trace";
+  size_t loaded_ok = 0;
+  constexpr int kCases = 2000;
+  for (int i = 0; i < kCases; ++i) {
+    std::string mutated = bytes;
+    bool must_fail = true;
+    switch (i % 3) {
+      case 0: {  // Flip one to four random bytes.
+        const uint64_t flips = 1 + rng.NextBounded(4);
+        for (uint64_t f = 0; f < flips; ++f) {
+          const size_t at = rng.NextBounded(mutated.size());
+          mutated[at] = static_cast<char>(mutated[at] ^
+                                          (1 + rng.NextBounded(255)));
+        }
+        must_fail = false;  // A flip inside a payload can stay valid.
+        break;
+      }
+      case 1:  // Truncate anywhere.
+        mutated.resize(rng.NextBounded(mutated.size()));
+        break;
+      case 2: {  // Set one count to 2^63.
+        const size_t at = counts[rng.NextBounded(counts.size())];
+        for (size_t b = 0; b < 8; ++b) mutated[at + b] = 0;
+        mutated[at + 7] = static_cast<char>(0x80);
+        break;
+      }
+    }
+    WriteFile(mutated_path, mutated);
+    const Result<engine::ReplayLog> loaded =
+        engine::LoadReplayLog(mutated_path);
+    if (loaded.ok()) {
+      ++loaded_ok;
+      EXPECT_FALSE(must_fail) << "case " << i << " loaded";
+      // A mapping that loads names only shards it has.
+      for (const engine::InstallEvent& install : loaded->installs) {
+        const std::vector<alloc::ShardId>& shards = install.allocation.raw();
+        EXPECT_TRUE(std::all_of(shards.begin(), shards.end(), [&](auto s) {
+          return s == alloc::kUnassignedShard ||
+                 s < install.allocation.num_shards();
+        })) << "case " << i;
+      }
+    } else {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << "case " << i << ": " << loaded.status().ToString();
+    }
+  }
+  // Most flips land in payload bytes and still load (TXTRACE4 has no body
+  // checksum); none loading would mean the mutator never reached them.
+  EXPECT_GT(loaded_ok, 0u);
 }
 
 }  // namespace

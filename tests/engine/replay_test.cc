@@ -247,6 +247,62 @@ TEST(ReplayLogTest, ReplayGuardsRejectWrongConfigWorkloadAndStaleEngine) {
   }
 }
 
+TEST(ReplayLogTest, ReplayGuardNamesTheFirstDifferingMetaField) {
+  const chain::Ledger ledger = MakeLedger();
+  const engine::ReplayLog log = RecordSmallRun(ledger);
+  engine::EngineConfig config = SmallEngineConfig();
+  config.work.capacity_per_block = 9.5;
+  engine::ParallelEngine engine(config, nullptr);
+  auto replayed = engine::ReplayRecordedStream(ledger, log, &engine,
+                                               engine::PipelineConfig{});
+  ASSERT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replayed.status().message().find(
+                "meta.capacity_per_block: recorded 8 vs replayed 9.5"),
+            std::string::npos)
+      << replayed.status().message();
+}
+
+TEST(ReplayLogTest, DivergenceNamesTheFirstLogicalFieldThatDiffers) {
+  const engine::ReplayLog log = RecordSmallRun(MakeLedger());
+  ASSERT_GT(log.commits.size(), 3u);
+  ASSERT_FALSE(log.steps.empty());
+
+  engine::ReplayLog other = log;
+  other.commits[3].aborted = !other.commits[3].aborted;
+  EXPECT_EQ(engine::DescribeTraceDivergence(log, other),
+            std::string("commit[3].aborted: recorded ") +
+                (log.commits[3].aborted ? "1" : "0") + " vs replayed " +
+                (other.commits[3].aborted ? "1" : "0"));
+
+  other = log;
+  other.steps.back().committed += 1;
+  EXPECT_EQ(engine::DescribeTraceDivergence(log, other),
+            "step[" + std::to_string(log.steps.size() - 1) +
+                "].committed: recorded " +
+                std::to_string(log.steps.back().committed) + " vs replayed " +
+                std::to_string(other.steps.back().committed));
+
+  other = log;
+  other.meta.workload_spec = "spike";
+  EXPECT_EQ(engine::DescribeTraceDivergence(log, other),
+            "meta.workload_spec: recorded  vs replayed spike");
+
+  other = log;
+  other.accounts_moved += 1;
+  EXPECT_EQ(engine::DescribeTraceDivergence(log, other).rfind(
+                "accounts_moved: recorded ", 0),
+            0u);
+
+  // Wall-clock fields and the copied epoch count are never compared.
+  other = log;
+  other.steps.front().alloc_seconds += 1.0;
+  other.steps.front().alloc_wait_seconds += 1.0;
+  other.alloc_seconds += 1.0;
+  other.alloc_overlap_ratio = 0.5;
+  other.epochs += 1;
+  EXPECT_EQ(engine::DescribeTraceDivergence(log, other), "");
+}
+
 engine::EngineConfig StateEngineConfig() {
   engine::EngineConfig config = SmallEngineConfig();
   config.state.enabled = true;

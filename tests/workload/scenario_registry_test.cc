@@ -121,6 +121,53 @@ TEST(ScenarioRegistryTest, NegativeAndOverflowingIntegersNameTheirKey) {
   }
 }
 
+TEST(ScenarioRegistryTest, AllocationSizingKeysAreCappedAndNamed) {
+  // Each of these sizes an allocation up front: unchecked, it dies with
+  // std::bad_alloc instead of returning an error.
+  const std::pair<const char*, const char*> bad_specs[] = {
+      {"shard-attack:txs-per-block=4294967296", "txs-per-block"},
+      {"churn:pool=1099511627776", "pool"},
+      {"multi-asset:assets=4294967295", "assets"},
+      {"sybil:sybils=1099511627776", "sybils"},
+      {"sybil:fanout=4294967295", "fanout"},
+      {"shard-attack:attackers=4294967295", "attackers"},
+      // One past each cap.
+      {"ethereum:txs-per-block=1048577", "txs-per-block"},
+      {"churn:pool=16777217", "pool"},
+      {"sybil:fanout=1025", "fanout"},
+  };
+  for (const auto& [spec, key] : bad_specs) {
+    SCOPED_TRACE(spec);
+    auto scenario = MakeScenarioFromSpec(spec, SmallShape());
+    ASSERT_FALSE(scenario.ok());
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(scenario.status().message().find(std::string("'") + key + "'"),
+              std::string::npos)
+        << scenario.status().message();
+  }
+  // The cap applies to the resolved value, not only to spec keys.
+  ScenarioShape wide = SmallShape();
+  wide.txs_per_block = uint64_t{1} << 32;
+  auto scenario = MakeScenarioFromSpec("ethereum", wide);
+  ASSERT_FALSE(scenario.ok());
+  EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+  // A value at the cap is accepted.
+  EXPECT_TRUE(MakeScenarioFromSpec("sybil:fanout=1024", SmallShape()).ok());
+}
+
+TEST(ScenarioRegistryTest, UsageTextStatesEachCap) {
+  const std::string usage = ScenarioUsageText();
+  EXPECT_NE(usage.find("txs-per-block=<uint> (<= 1048576)"),
+            std::string::npos);
+  for (const char* key : {"pool", "assets", "attackers", "sybils"}) {
+    EXPECT_NE(usage.find(std::string("    ") + key + "=<uint>"),
+              std::string::npos)
+        << key;
+  }
+  EXPECT_NE(usage.find("<= 16777216"), std::string::npos);
+  EXPECT_NE(usage.find("<= 1024"), std::string::npos);
+}
+
 TEST(ScenarioRegistryTest, OutOfRangeValuesFailValidation) {
   const char* bad_specs[] = {
       "ethereum:intra=1.5",        // Fraction above 1.
