@@ -80,7 +80,7 @@ std::unique_ptr<workload::Scenario> MakeScenarioOrDie(
     std::fprintf(stderr, "scenario '%s': %s\n", spec.c_str(),
                  made.status().ToString().c_str());
     std::fprintf(stderr, "(--scenario=help lists the registry)\n");
-    std::abort();
+    std::exit(2);
   }
   return std::move(*made);
 }

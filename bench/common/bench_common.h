@@ -71,9 +71,10 @@ bool HandleAllocatorHelp(const Flags& flags);
 bool HandleScenarioHelp(const Flags& flags);
 
 /// Instantiates `spec` through the scenario registry with `shape` as the
-/// programmatic default. Aborts with a diagnostic on an invalid spec
-/// (bench binaries treat a typo'd scenario the way they treat a typo'd
-/// allocator: fatal, never silently the default workload).
+/// programmatic default. Exits with status 2 (a usage error) after printing
+/// the InvalidArgument on an invalid spec (bench binaries treat a typo'd
+/// scenario the way they treat a typo'd allocator: fatal, never silently
+/// the default workload).
 std::unique_ptr<workload::Scenario> MakeScenarioOrDie(
     const std::string& spec, const workload::ScenarioShape& shape);
 

@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TXALLO_SHA256_HAVE_SHANI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace txallo {
 
 namespace {
@@ -24,56 +30,158 @@ constexpr uint32_t kRound[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef TXALLO_SHA256_HAVE_SHANI
+#define TXALLO_SHANI_TARGET __attribute__((target("sha,sse4.1")))
+
+// Four rounds: W[4g..4g+3] in `msg`, K[4g..4g+3] from kRound. The state is
+// split the way sha256rnds2 wants it: abef = (A,B,E,F), cdgh = (C,D,G,H).
+TXALLO_SHANI_TARGET inline void ShaNiRounds(__m128i* abef, __m128i* cdgh,
+                                            __m128i msg, int g) {
+  const __m128i wk = _mm_add_epi32(
+      msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+  *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+  *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// The next message group W[t..t+3] from the previous sixteen words
+// (w0 oldest): W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]).
+TXALLO_SHANI_TARGET inline __m128i ShaNiSchedule(__m128i w0, __m128i w1,
+                                                 __m128i w2, __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+
+TXALLO_SHANI_TARGET void ShaNiBlocks(uint32_t state[8], const uint8_t* blocks,
+                                     size_t count) {
+  // Big-endian message words: byte-reverse each 32-bit lane.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kByteSwap);
+      ShaNiRounds(&abef, &cdgh, w[i], i);
+    }
+    for (int g = 4; g < 16; g += 4) {
+      w[0] = ShaNiSchedule(w[0], w[1], w[2], w[3]);
+      ShaNiRounds(&abef, &cdgh, w[0], g);
+      w[1] = ShaNiSchedule(w[1], w[2], w[3], w[0]);
+      ShaNiRounds(&abef, &cdgh, w[1], g + 1);
+      w[2] = ShaNiSchedule(w[2], w[3], w[0], w[1]);
+      ShaNiRounds(&abef, &cdgh, w[2], g + 2);
+      w[3] = ShaNiSchedule(w[3], w[0], w[1], w[2]);
+      ShaNiRounds(&abef, &cdgh, w[3], g + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool CpuHasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse41 && (ebx & bit_SHA) != 0;
+}
+#endif
+
+// Resolved once per process; every later call is one indirect jump.
+sha256_kernel::BlockFn BlockKernel() {
+  static const sha256_kernel::BlockFn kernel =
+      sha256_kernel::ShaNi() != nullptr ? sha256_kernel::ShaNi()
+                                        : &sha256_kernel::Portable;
+  return kernel;
+}
+
 }  // namespace
+
+namespace sha256_kernel {
+
+void Portable(uint32_t state[8], const uint8_t* blocks, size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+BlockFn ShaNi() {
+#ifdef TXALLO_SHA256_HAVE_SHANI
+  static const bool kSupported = CpuHasShaNi();
+  return kSupported ? &ShaNiBlocks : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace sha256_kernel
 
 void Sha256::Reset() {
   std::memcpy(state_, kInit, sizeof(state_));
   bit_count_ = 0;
   buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::Update(const void* data, size_t len) {
@@ -88,14 +196,15 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
+      BlockKernel()(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    const size_t blocks = len / 64;
+    BlockKernel()(state_, p, blocks);
+    p += 64 * blocks;
+    len -= 64 * blocks;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -104,18 +213,21 @@ void Sha256::Update(const void* data, size_t len) {
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bits = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  // bit_count_ was bumped by the pad; the length field uses the saved value.
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
+  // into one more block when fewer than 8 bytes remain), then the message
+  // length in bits, big-endian.
+  const sha256_kernel::BlockFn kernel = BlockKernel();
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    kernel(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  Update(len_be, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
+  }
+  kernel(state_, buffer_, 1);
 
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -1,9 +1,20 @@
-// From-scratch SHA-256 (FIPS 180-4). Used for two things in this repository:
+// From-scratch SHA-256 (FIPS 180-4). Used for four things in this
+// repository:
 //  1. the hash-based baseline allocation (SHA256(address) mod k, as in
-//     Chainspace / Monoxide, paper §II-C), and
+//     Chainspace / Monoxide, paper §II-C),
 //  2. the deterministic node iteration order of G-/A-TxAllo (paper §V-B:
 //     "The hash value of the accounts can determine the order of node
-//     sequence in real-world applications").
+//     sequence in real-world applications"),
+//  3. the account-state fingerprint: per-account leaf digests and the
+//     16-ary Merkle trie over them (state/shard_state_db.h, state/merkle.h),
+//  4. the replay trace's run fingerprint (engine/replay.cc).
+//
+// Block compression dispatches at run time: on x86 hosts whose CPU reports
+// the SHA extensions (SHA-NI, cpuid leaf 7) it uses the sha256rnds2/msg1/
+// msg2 kernel, everywhere else the portable scalar kernel. The choice is
+// made once per process from cpuid alone; both kernels compute the same
+// function, so every digest — and every root or trace built from them — is
+// identical on every host.
 #pragma once
 
 #include <array>
@@ -48,8 +59,6 @@ class Sha256 {
   static uint64_t Hash64(uint64_t key);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
@@ -58,5 +67,21 @@ class Sha256 {
 
 /// Lowercase hex encoding of a digest.
 std::string DigestToHex(const Sha256Digest& digest);
+
+namespace sha256_kernel {
+
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+using BlockFn = void (*)(uint32_t state[8], const uint8_t* blocks,
+                         size_t count);
+
+/// The scalar kernel; runs on every host.
+void Portable(uint32_t state[8], const uint8_t* blocks, size_t count);
+
+/// The SHA-NI kernel, or nullptr when the host CPU (or the build target)
+/// lacks the SHA extensions. Exposed so tests can compare it against
+/// Portable(); Sha256 itself picks between the two.
+BlockFn ShaNi();
+
+}  // namespace sha256_kernel
 
 }  // namespace txallo

@@ -9,9 +9,11 @@
 // count and hash-table seeds cannot perturb it.
 //
 // Updates mark only the root-to-leaf path dirty; Root() rehashes dirty
-// nodes lazily. A tick that touches m of n accounts therefore costs
-// O(m · depth) hashes, not O(n) — that is what makes a hash-per-tick
-// fingerprint affordable.
+// nodes lazily. The shard DB feeds the trie only when a root is asked for,
+// one Update/Remove per account changed since the previous root, so m
+// changed accounts of n cost m leaf hashes, m path walks and at most
+// m · depth interior hashes per root, not O(n) and not O(commits) — that
+// is what makes a hash-per-tick fingerprint affordable.
 #pragma once
 
 #include <array>

@@ -29,17 +29,25 @@ ShardStateDb::ShardStateDb(int64_t initial_balance)
 
 const AccountState* ShardStateDb::Find(chain::AccountId account) const {
   auto it = records_.find(account);
-  return it == records_.end() ? nullptr : &it->second;
+  return it == records_.end() ? nullptr : &it->second.state;
 }
 
-void ShardStateDb::UpdateLeaf(chain::AccountId account,
-                              const AccountState& record) {
-  trie_.Update(account, LeafDigest(account, record));
+void ShardStateDb::MarkDirty(chain::AccountId account, Slot& slot) {
+  if (slot.dirty) return;
+  slot.dirty = true;
+  dirty_.push_back(account);
 }
 
 void ShardStateDb::Put(chain::AccountId account, AccountState record) {
-  records_[account] = record;
-  UpdateLeaf(account, record);
+  auto [it, inserted] = records_.emplace(account, Slot{record, false});
+  if (!inserted) {
+    it->second.state = record;
+  } else if (extracted_.erase(account) != 0) {
+    // Extracted since the last root: already listed in dirty_.
+    it->second.dirty = true;
+    return;
+  }
+  MarkDirty(account, it->second);
 }
 
 std::optional<AccountState> ShardStateDb::Extract(chain::AccountId account) {
@@ -49,9 +57,11 @@ std::optional<AccountState> ShardStateDb::Extract(chain::AccountId account) {
   if (pinned_.count(account) != 0) return std::nullopt;
   auto it = records_.find(account);
   if (it == records_.end()) return std::nullopt;
-  const AccountState record = it->second;
+  const AccountState record = it->second.state;
+  // The leaf must leave the trie at the next root; list the account once.
+  if (!it->second.dirty) dirty_.push_back(account);
   records_.erase(it);
-  trie_.Remove(account);
+  extracted_.emplace(account, true);
   return record;
 }
 
@@ -98,15 +108,15 @@ size_t ShardStateDb::CommitStaged(uint64_t seq) {
   const std::vector<Op> ops = std::move(it->second);
   staged_.erase(it);
   for (const Op& op : ops) {
-    AccountState& record = records_[op.account];
-    record.balance += op.credit - op.debit;
+    Slot& slot = records_[op.account];
+    slot.state.balance += op.credit - op.debit;
     if (op.debit > 0) {
-      ++record.sequence;
+      ++slot.state.sequence;
       auto reserved = reserved_.find(op.account);
       reserved->second -= op.debit;
       if (reserved->second == 0) reserved_.erase(reserved);
     }
-    UpdateLeaf(op.account, record);
+    MarkDirty(op.account, slot);
     Unpin(op.account);
   }
   return ops.size();
@@ -128,14 +138,32 @@ size_t ShardStateDb::AbortStaged(uint64_t seq) {
   return ops.size();
 }
 
+const Sha256Digest& ShardStateDb::RootHash() {
+  // Account order keeps the trie walks local; the root itself does not
+  // depend on the order of leaf updates.
+  std::sort(dirty_.begin(), dirty_.end());
+  for (chain::AccountId account : dirty_) {
+    auto it = records_.find(account);
+    if (it == records_.end()) {
+      trie_.Remove(account);
+      continue;
+    }
+    it->second.dirty = false;
+    trie_.Update(account, LeafDigest(account, it->second.state));
+  }
+  dirty_.clear();
+  extracted_.clear();
+  return trie_.Root();
+}
+
 std::vector<std::pair<chain::AccountId, AccountState>>
 ShardStateDb::SortedRecords() const {
   std::vector<std::pair<chain::AccountId, AccountState>> out;
   out.reserve(records_.size());
   // FlatMap iterates in insertion order (deterministic); sorted by account
   // id immediately below.
-  for (const auto& [account, record] : records_) {
-    out.emplace_back(account, record);
+  for (const auto& [account, slot] : records_) {
+    out.emplace_back(account, slot.state);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -13,10 +13,13 @@
 // committed state only, so an undecided 2PC round is invisible until its
 // commit applies.
 //
-// Fingerprint: every committed-state mutation updates an incremental
-// MerkleTrie leaf (SHA256 over account id, balance, sequence), so
-// RootHash() is O(touched · depth) per tick and a pure function of the
-// committed records.
+// Fingerprint: a committed-state mutation only marks its account dirty
+// (a per-record flag, so an account committed a thousand times between
+// roots is listed once). RootHash() hashes each dirty account's leaf once
+// (SHA256 over account id, balance, sequence), applies the leaves to an
+// incremental MerkleTrie in account order — removing those whose record
+// left — and folds the root. A root costs O(dirty · depth) and is a pure
+// function of the committed records, whenever it is asked for.
 //
 // Thread-safety: none. The engine drives every ShardStateDb from the
 // driver thread between tick barriers (see engine.cc); tests may use it
@@ -38,10 +41,6 @@ namespace txallo::state {
 
 class ShardStateDb {
  public:
-  // Flat open-addressing map with deterministic (insertion-order)
-  // iteration — the record index is hot on every staged op.
-  using Records = common::FlatMap<chain::AccountId, AccountState>;
-
   /// `initial_balance` funds accounts lazily created by their first staged
   /// op (StateConfig::initial_balance).
   explicit ShardStateDb(int64_t initial_balance);
@@ -91,8 +90,9 @@ class ShardStateDb {
   /// (0 when the account is absent).
   int64_t AvailableBalance(chain::AccountId account) const;
 
-  /// Merkle root over the committed records (all-zero when empty).
-  const Sha256Digest& RootHash() { return trie_.Root(); }
+  /// Merkle root over the committed records (all-zero when empty). Hashes
+  /// the leaves dirtied since the previous call.
+  const Sha256Digest& RootHash();
 
   /// Committed records sorted by account id (tests, serial references).
   std::vector<std::pair<chain::AccountId, AccountState>> SortedRecords()
@@ -101,12 +101,21 @@ class ShardStateDb {
   int64_t initial_balance() const { return initial_balance_; }
 
  private:
-  void UpdateLeaf(chain::AccountId account, const AccountState& record);
+  // A committed record and whether its account is listed in dirty_.
+  struct Slot {
+    AccountState state;
+    bool dirty = false;
+  };
+
+  // Lists the account in dirty_ unless its slot already is.
+  void MarkDirty(chain::AccountId account, Slot& slot);
   // Drops one staged-op pin (precondition: the account is pinned).
   void Unpin(chain::AccountId account);
 
   const int64_t initial_balance_;
-  Records records_;
+  // Flat open-addressing map with deterministic (insertion-order)
+  // iteration — the record index is hot on every staged op.
+  common::FlatMap<chain::AccountId, Slot> records_;
   // Pending debit reservations and staged thunks: per-shard scratch, kept
   // out of the committed records.
   common::FlatMap<chain::AccountId, int64_t> reserved_;
@@ -114,6 +123,11 @@ class ShardStateDb {
   // How many staged ops target each account (reservations only cover
   // debits; this pins credit-only participants against Extract too).
   common::FlatMap<chain::AccountId, uint32_t> pinned_;
+  // Accounts whose trie leaf is stale, each listed once: a record with its
+  // dirty flag set, or an account extracted since the last root (kept in
+  // extracted_ so a re-Put does not list it twice). Cleared by RootHash().
+  std::vector<chain::AccountId> dirty_;
+  common::FlatMap<chain::AccountId, bool> extracted_;
   MerkleTrie trie_;
 };
 

@@ -1,5 +1,6 @@
 #include "txallo/state/state_db.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -55,22 +56,35 @@ bool StateDb::StagePart(uint64_t seq, const std::vector<Op>& ops,
       TrackResidency(op.account, shard);
     }
     if (!shards_[shard]->StageOp(seq, op)) return false;
+    std::vector<uint32_t>& participants = participants_[seq];
+    if (std::find(participants.begin(), participants.end(), shard) ==
+        participants.end()) {
+      participants.push_back(shard);
+    }
   }
   return true;
 }
 
+std::vector<uint32_t> StateDb::TakeParticipants(uint64_t seq) {
+  auto it = participants_.find(seq);
+  if (it == participants_.end()) return {};
+  std::vector<uint32_t> shards = std::move(it->second);
+  participants_.erase(it);
+  return shards;
+}
+
 size_t StateDb::Commit(uint64_t seq) {
   size_t applied = 0;
-  for (const std::unique_ptr<ShardStateDb>& shard : shards_) {
-    applied += shard->CommitStaged(seq);
+  for (uint32_t shard : TakeParticipants(seq)) {
+    applied += shards_[shard]->CommitStaged(seq);
   }
   return applied;
 }
 
 size_t StateDb::Abort(uint64_t seq) {
   size_t dropped = 0;
-  for (const std::unique_ptr<ShardStateDb>& shard : shards_) {
-    dropped += shard->AbortStaged(seq);
+  for (uint32_t shard : TakeParticipants(seq)) {
+    dropped += shards_[shard]->AbortStaged(seq);
   }
   return dropped;
 }

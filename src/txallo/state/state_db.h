@@ -7,8 +7,9 @@
 //     the shard its record currently resides on (which, after a migration,
 //     may differ from the lane the part was routed to at ingest); missing
 //     records are lazily created — funded with the initial balance — on
-//     the ingest-routed placement shard. Commit()/Abort() apply or drop
-//     everything staged under a sequence tag across all shards.
+//     the ingest-routed placement shard. StagePart() also records which
+//     shards took an op under each sequence tag, so Commit()/Abort() visit
+//     only those participants and then forget the tag.
 //
 //   * State migration. BeginMigration(allocation) moves every record whose
 //     effective shard under the new mapping differs from its residency —
@@ -30,6 +31,7 @@
 
 #include "txallo/alloc/allocation.h"
 #include "txallo/chain/account.h"
+#include "txallo/common/flat_map.h"
 #include "txallo/common/sha256.h"
 #include "txallo/state/account_state.h"
 #include "txallo/state/shard_state_db.h"
@@ -75,8 +77,8 @@ class StateDb {
   bool StagePart(uint64_t seq, const std::vector<Op>& ops,
                  uint32_t placement_shard);
 
-  /// Applies / drops everything staged under `seq` on every shard.
-  /// Returns ops affected.
+  /// Applies / drops everything staged under `seq` on its participant
+  /// shards. Returns ops affected (0 for a `seq` with nothing staged).
   size_t Commit(uint64_t seq);
   size_t Abort(uint64_t seq);
 
@@ -104,12 +106,17 @@ class StateDb {
   // Moves what it can out of `candidates`, refilling deferred_moves_.
   MigrationReport MoveRecords(const std::vector<chain::AccountId>& candidates);
   void TrackResidency(chain::AccountId account, uint32_t shard);
+  // Removes `seq`'s participant list and returns it (empty when unknown).
+  std::vector<uint32_t> TakeParticipants(uint64_t seq);
 
   const StateConfig config_;
   std::vector<std::unique_ptr<ShardStateDb>> shards_;
   // residency_[account] = shard holding its record, kNoShard when none.
   // Dense by account id; grown on demand.
   std::vector<uint32_t> residency_;
+  // Shards holding ops staged under each undecided sequence tag, in first-
+  // staged order, each listed once.
+  common::FlatMap<uint64_t, std::vector<uint32_t>> participants_;
   // Migration target (null until the first BeginMigration).
   std::shared_ptr<const alloc::Allocation> target_;
   bool target_hash_fallback_ = false;

@@ -103,6 +103,56 @@ TEST(StateDbTest, FailedVoteLeavesEarlierOpsForTheAbortToClean) {
   EXPECT_EQ(db.shard(0).pending_transactions(), 0u);
 }
 
+TEST(StateDbTest, CommitAndAbortTouchOnlyParticipantShards) {
+  constexpr uint32_t kWide = 8;
+  StateDb db(kWide, Config());
+  for (chain::AccountId a = 0; a < kWide; ++a) db.Fund(a, {50, 0}, a);
+  // seq 1 stages on shards {1, 3}, in two parts; seqs 2 and 3 stage on
+  // the shards around them.
+  ASSERT_TRUE(db.StagePart(1, {Debit(1, 5), Credit(3, 5)}, 1));
+  ASSERT_TRUE(db.StagePart(1, {Debit(3, 2)}, 3));
+  ASSERT_TRUE(db.StagePart(2, {Debit(2, 7)}, 2));
+  ASSERT_TRUE(db.StagePart(3, {Debit(4, 9), Credit(0, 9)}, 4));
+
+  EXPECT_EQ(db.Commit(1), 3u);
+  EXPECT_EQ(*db.Find(1), (AccountState{45, 1}));
+  EXPECT_EQ(*db.Find(3), (AccountState{53, 1}));
+  for (uint32_t s : {1u, 3u}) {
+    EXPECT_EQ(db.shard(s).pending_transactions(), 0u) << "shard " << s;
+  }
+  // Everything else is still staged, committed state untouched.
+  EXPECT_TRUE(db.shard(2).HasStaged(2));
+  EXPECT_TRUE(db.shard(4).HasStaged(3));
+  EXPECT_TRUE(db.shard(0).HasStaged(3));
+  EXPECT_EQ(*db.Find(2), (AccountState{50, 0}));
+  EXPECT_EQ(*db.Find(4), (AccountState{50, 0}));
+  EXPECT_EQ(*db.Find(0), (AccountState{50, 0}));
+
+  // A decided seq is forgotten; an unknown one never existed.
+  EXPECT_EQ(db.Commit(1), 0u);
+  EXPECT_EQ(db.Abort(1), 0u);
+  EXPECT_EQ(db.Commit(99), 0u);
+  EXPECT_EQ(db.Abort(99), 0u);
+
+  EXPECT_EQ(db.Commit(2), 1u);
+  EXPECT_EQ(db.Abort(3), 2u);
+  for (uint32_t s = 0; s < kWide; ++s) {
+    EXPECT_EQ(db.shard(s).pending_transactions(), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(*db.Find(2), (AccountState{43, 1}));
+  EXPECT_EQ(*db.Find(4), (AccountState{50, 0}));
+
+  // A part whose second op fails its vote: the first op (shard 5) stays
+  // staged until the abort, which must still find it.
+  EXPECT_FALSE(db.StagePart(4, {Debit(5, 10), Debit(6, 500)}, 5));
+  EXPECT_TRUE(db.shard(5).HasStaged(4));
+  EXPECT_FALSE(db.shard(6).HasStaged(4));
+  EXPECT_EQ(db.Abort(4), 1u);
+  EXPECT_EQ(db.shard(5).pending_transactions(), 0u);
+  EXPECT_EQ(*db.Find(5), (AccountState{50, 0}));
+  EXPECT_EQ(db.Abort(4), 0u);
+}
+
 TEST(StateDbTest, MigrationMovesRecordsAndCountsPerShardFlows) {
   StateDb db(kShards, Config());
   db.Fund(0, {11, 1}, 0);

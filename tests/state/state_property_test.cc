@@ -9,12 +9,17 @@
 // (b) The engine end-to-end: the same submission sequence under different
 //     worker-thread counts must produce byte-identical final account
 //     records, the same Merkle fingerprint and the same abort decisions.
+// (c) Lazy roots: leaves are hashed only when a root is asked for, so a
+//     root taken after any schedule of stages, decisions, overwrites and
+//     extract/re-put moves must equal the root of a fresh shard DB built
+//     from the same committed records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -284,6 +289,108 @@ TEST(StatePropertyTest, EngineStateIsIndependentOfWorkerThreads) {
     EXPECT_EQ(parallel.committed, serial.committed);
     EXPECT_EQ(parallel.aborted, serial.aborted);
     EXPECT_EQ(parallel.migrated, serial.migrated);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// (c) Lazy leaves: a root never depends on the mutation history.
+
+// The root a shard DB holding exactly `db`'s committed records reports.
+Sha256Digest FreshRoot(const ShardStateDb& db) {
+  ShardStateDb fresh(db.initial_balance());
+  for (const auto& [account, record] : db.SortedRecords()) {
+    fresh.Put(account, record);
+  }
+  return fresh.RootHash();
+}
+
+void RunLazyRootSchedule(uint64_t seed) {
+  StateDb db(kShards, Config());
+  Rng rng(seed);
+  // Where each account's record lives (absent: none anywhere), and the
+  // undecided (shard, seq) stagings.
+  std::map<chain::AccountId, uint32_t> home;
+  std::vector<std::pair<uint32_t, uint64_t>> open;
+  uint64_t next_seq = 0;
+  uint64_t roots = 0;
+  uint64_t moves = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    const auto account =
+        static_cast<chain::AccountId>(rng.NextBounded(kAccounts));
+    const auto it = home.find(account);
+    const uint32_t shard = it != home.end()
+                               ? it->second
+                               : static_cast<uint32_t>(rng.NextBounded(kShards));
+    switch (rng.NextBounded(6)) {
+      case 0: {  // Stage one op (lazily creating the record).
+        Op op;
+        op.account = account;
+        op.debit = static_cast<int64_t>(rng.NextBounded(8));
+        op.credit = static_cast<int64_t>(rng.NextBounded(8));
+        const uint64_t seq = next_seq++;
+        if (db.shard(shard).StageOp(seq, op)) open.emplace_back(shard, seq);
+        home[account] = shard;
+        break;
+      }
+      case 1:
+      case 2: {  // Decide an undecided staging.
+        if (open.empty()) break;
+        const size_t pick = rng.NextBounded(open.size());
+        const auto [s, seq] = open[pick];
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (rng.NextBernoulli(0.7)) {
+          db.shard(s).CommitStaged(seq);
+        } else {
+          db.shard(s).AbortStaged(seq);
+        }
+        break;
+      }
+      case 3:  // Overwrite or insert a committed record.
+        db.shard(shard).Put(
+            account, AccountState{static_cast<int64_t>(rng.NextBounded(50)),
+                                  rng.NextBounded(4)});
+        home[account] = shard;
+        break;
+      default: {  // Extract, then re-put here or elsewhere, or drop.
+        if (it == home.end()) break;
+        const std::optional<AccountState> record =
+            db.shard(shard).Extract(account);
+        if (!record.has_value()) break;  // Pinned by a staged op.
+        ++moves;
+        const uint64_t fate = rng.NextBounded(3);
+        if (fate == 2) {
+          home.erase(account);
+          break;
+        }
+        const uint32_t to =
+            fate == 0 ? shard
+                      : static_cast<uint32_t>((shard + 1 + rng.NextBounded(
+                                                               kShards - 1)) %
+                                              kShards);
+        db.shard(to).Put(account, *record);
+        home[account] = to;
+        break;
+      }
+    }
+    if (rng.NextBernoulli(0.15)) {
+      const auto s = static_cast<uint32_t>(rng.NextBounded(kShards));
+      ++roots;
+      ASSERT_EQ(db.shard(s).RootHash(), FreshRoot(db.shard(s)))
+          << "shard " << s << " at step " << step;
+    }
+  }
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(db.shard(s).RootHash(), FreshRoot(db.shard(s))) << "shard " << s;
+  }
+  EXPECT_GT(roots, 100u);
+  EXPECT_GT(moves, 100u);
+}
+
+TEST(StatePropertyTest, LazyRootsMatchAFreshDbOverTheSameRecords) {
+  for (uint64_t seed : {3u, 11u, 2023u}) {
+    SCOPED_TRACE(seed);
+    RunLazyRootSchedule(seed);
   }
 }
 
