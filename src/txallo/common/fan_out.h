@@ -5,7 +5,7 @@
 // It is the one producer pool of the ingest path. The open-loop pipeline
 // fans each tick's offer into the mempool through it, and
 // engine::ParallelEngine::SubmitBlock fans a block into the per-shard
-// queues through it. Run() is a barrier: nothing the slices touch is in
+// staging buffers through it. Run() is a barrier: nothing the slices touch is in
 // flight once it returns, so a driver that alternates Run() with
 // single-threaded phases (seal, tick) never overlaps them.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "txallo/common/fan_out.h"
@@ -32,16 +33,6 @@ uint32_t ResolveWorkerCount(const EngineConfig& config) {
   return std::max(1u, std::min(n, config.num_shards));
 }
 
-// The per-account half of sim::RouteTransaction's rule: which shard one
-// account's op executes on at ingest time. Must stay in lockstep with it —
-// the part routed to shard s must carry exactly the ops of the accounts
-// that routed to s.
-alloc::ShardId RouteAccount(chain::AccountId account,
-                            const alloc::Allocation& routing) {
-  if (routing.IsAssigned(account)) return routing.shard_of(account);
-  return static_cast<alloc::ShardId>(account % routing.num_shards());
-}
-
 }  // namespace
 
 ParallelEngine::ParallelEngine(EngineConfig config,
@@ -55,11 +46,9 @@ ParallelEngine::ParallelEngine(EngineConfig config,
       num_workers_(ResolveWorkerCount(config)) {
   assert(config_.num_shards > 0);
   if (state_ != nullptr) coordinator_.EnableDecisionCollection();
-  const size_t queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   lanes_.reserve(config_.num_shards);
   for (uint32_t s = 0; s < config_.num_shards; ++s) {
-    lanes_.push_back(std::make_unique<ShardLane>(queue_capacity));
-    lanes_.back()->inbox.SetFullHandler([this] { RequestService(); });
+    lanes_.push_back(std::make_unique<ShardLane>());
   }
   // Same shard-count invariant InstallAllocation enforces; a constructor
   // cannot return Status, so a mismatched snapshot is rejected here and
@@ -76,14 +65,6 @@ ParallelEngine::ParallelEngine(EngineConfig config,
                         std::to_string(config_.num_shards) +
                         "; snapshot rejected";
     }
-  }
-  {
-    // Size every per-worker slot before the first thread spawns: worker
-    // threads index these vectors from the moment they start.
-    common::MutexLock lock(mu_);
-    worker_ticks_done_.assign(num_workers_, 0);
-    worker_services_done_.assign(num_workers_, 0);
-    worker_stall_seconds_.assign(num_workers_, 0.0);
   }
   worker_threads_.reserve(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
@@ -102,41 +83,26 @@ ParallelEngine::~ParallelEngine() {
   }
 }
 
-void ParallelEngine::RequestService() {
-  common::MutexLock lock(mu_);
-  ++service_generation_;
-  cv_workers_.NotifyAll();
-}
-
 void ParallelEngine::WorkerMain(uint32_t worker_index) {
   const uint32_t stride = num_workers_;
+  uint64_t ticks_done = 0;
   mu_.Lock();
   for (;;) {
     Stopwatch stall;
-    while (!(stopping_ || tick_generation_ > worker_ticks_done_[worker_index] ||
-             service_generation_ > worker_services_done_[worker_index])) {
-      cv_workers_.Wait(mu_);
-    }
-    worker_stall_seconds_[worker_index] += stall.ElapsedSeconds();
+    while (!stopping_ && tick_generation_ == ticks_done) cv_workers_.Wait(mu_);
+    worker_stall_seconds_ += stall.ElapsedSeconds();
     if (stopping_) {
       mu_.Unlock();
       return;
     }
-    const uint64_t tick_target = tick_generation_;
-    const uint64_t service_target = service_generation_;
-    const bool run_tick = tick_target > worker_ticks_done_[worker_index];
+    ticks_done = tick_generation_;
     const bool record = record_trace_;
     mu_.Unlock();
     for (uint32_t s = worker_index; s < config_.num_shards; s += stride) {
-      ShardLane& lane = *lanes_[s];
-      lane.inbox.DrainTo(lane.staging);
-      if (run_tick) ExecuteBlock(s, lane, tick_target, record);
+      ExecuteBlock(s, *lanes_[s], ticks_done, record);
     }
     mu_.Lock();
-    worker_services_done_[worker_index] =
-        std::max(worker_services_done_[worker_index], service_target);
-    if (run_tick) worker_ticks_done_[worker_index] = tick_target;
-    cv_driver_.NotifyAll();
+    if (--workers_busy_ == 0) cv_driver_.NotifyAll();
   }
 }
 
@@ -146,14 +112,17 @@ void ParallelEngine::ExecuteBlock(uint32_t shard, ShardLane& lane,
   // barrier follows the driver contract), so staging holds the complete
   // arrival set — appending it in sequence order makes the lane FIFO
   // independent of producer interleaving. Tags are unique per lane, so a
-  // plain sort is canonical.
-  if (!lane.staging.empty()) {
+  // plain sort is canonical. No producer runs during a tick, so the lock
+  // is uncontended.
+  {
+    common::MutexLock lock(lane.staging_mu);
     std::sort(lane.staging.begin(), lane.staging.end(),
               [](const WorkItem& a, const WorkItem& b) {
                 return a.seq < b.seq;
               });
-    lane.fifo.insert(lane.fifo.end(), lane.staging.begin(),
-                     lane.staging.end());
+    lane.fifo.insert(lane.fifo.end(),
+                     std::make_move_iterator(lane.staging.begin()),
+                     std::make_move_iterator(lane.staging.end()));
     lane.staging.clear();
   }
   double budget = config_.work.capacity_per_block;
@@ -226,13 +195,14 @@ Status ParallelEngine::SubmitTransactions(
       config_.hash_route_unassigned ? sim::UnassignedPolicy::kHashFallback
                                     : sim::UnassignedPolicy::kReject;
   const uint64_t arrival_block = now_.load(std::memory_order_relaxed);
-  // Per-call scratch keeps this path producer-thread-safe (the old member
-  // buffer was the last driver-only piece of ingest).
+  // Parts are bucketed per shard on this thread and each bucket is appended
+  // to its lane under one lock per call, so concurrent slices contend once
+  // per shard rather than once per part.
+  std::vector<std::vector<WorkItem>> buckets(config_.num_shards);
   std::vector<alloc::ShardId> shards;
-  for (size_t i = 0; i < count; ++i) {
-    const chain::Transaction& tx = transactions[i];
+  auto route = [&](const chain::Transaction& tx, uint64_t seq) -> Status {
     TXALLO_RETURN_NOT_OK(sim::RouteTransaction(tx, *routing, policy, &shards));
-    if (shards.empty()) continue;
+    if (shards.empty()) return Status::OK();
     for (alloc::ShardId s : shards) {
       if (s >= config_.num_shards) {
         return Status::FailedPrecondition(
@@ -242,28 +212,42 @@ Status ParallelEngine::SubmitTransactions(
       }
     }
     const bool cross = shards.size() > 1;
-    const uint64_t seq = first_seq + i;
     const uint64_t tx_index = coordinator_.Register(
         arrival_block, static_cast<uint32_t>(shards.size()), cross, seq);
     const double work = config_.work.PartWork(cross);
+    for (alloc::ShardId s : shards) {
+      buckets[s].push_back(WorkItem{tx_index, seq, work, {}});
+    }
     // With the state backend on, the transaction's deterministic transfer
     // plan is sliced across its parts: each part carries the ops of the
     // accounts that routed to its shard.
-    std::vector<state::Op> ops;
-    if (state_ != nullptr) ops = state::BuildTransferOps(tx, seq);
-    for (alloc::ShardId s : shards) {
-      WorkItem item{tx_index, seq, work, {}};
-      if (state_ != nullptr) {
-        for (const state::Op& op : ops) {
-          if (RouteAccount(op.account, *routing) == s) {
-            item.ops.push_back(op);
-          }
-        }
+    if (state_ != nullptr) {
+      for (const state::Op& op : state::BuildTransferOps(tx, seq)) {
+        alloc::ShardId s = 0;
+        TXALLO_RETURN_NOT_OK(
+            sim::RouteAccount(op.account, *routing, policy, &s));
+        buckets[s].back().ops.push_back(op);
       }
-      lanes_[s]->inbox.Push(std::move(item));
     }
+    return Status::OK();
+  };
+  Status status = Status::OK();
+  for (size_t i = 0; i < count && status.ok(); ++i) {
+    status = route(transactions[i], first_seq + i);
   }
-  return Status::OK();
+  // Parts routed before a failure are staged all the same: their
+  // transactions are registered and the coordinator waits for every part.
+  for (uint32_t s = 0; s < config_.num_shards; ++s) {
+    std::vector<WorkItem>& bucket = buckets[s];
+    if (bucket.empty()) continue;
+    ShardLane& lane = *lanes_[s];
+    common::MutexLock lock(lane.staging_mu);
+    lane.staging.insert(lane.staging.end(),
+                        std::make_move_iterator(bucket.begin()),
+                        std::make_move_iterator(bucket.end()));
+    lane.max_staged = std::max<uint64_t>(lane.max_staged, lane.staging.size());
+  }
+  return status;
 }
 
 Status ParallelEngine::InstallAllocation(
@@ -290,16 +274,6 @@ std::shared_ptr<const alloc::Allocation> ParallelEngine::allocation_snapshot()
     const {
   common::MutexLock lock(routing_mu_);
   return routing_;
-}
-
-bool ParallelEngine::WorkersCaughtUpLocked(bool and_services) const {
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    if (worker_ticks_done_[w] != tick_generation_) return false;
-    if (and_services && worker_services_done_[w] != service_generation_) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void ParallelEngine::SyncStateResidency() {
@@ -346,10 +320,9 @@ void ParallelEngine::Tick() {
     common::MutexLock lock(mu_);
     record = record_trace_;
     ++tick_generation_;
+    workers_busy_ = num_workers_;
     cv_workers_.NotifyAll();
-    while (!WorkersCaughtUpLocked(/*and_services=*/false)) {
-      cv_driver_.Wait(mu_);
-    }
+    while (workers_busy_ > 0) cv_driver_.Wait(mu_);
   }
   // Workers have barriered; only the driver touches lane state and the
   // coordinator now. Stage + vote the tick's finished parts in canonical
@@ -389,23 +362,14 @@ void ParallelEngine::Tick() {
   }
 }
 
-void ParallelEngine::QuiesceLocked() {
-  while (!WorkersCaughtUpLocked(/*and_services=*/true)) {
-    cv_driver_.Wait(mu_);
-  }
-}
-
 EngineReport ParallelEngine::Snapshot() {
   EngineReport report;
   {
     common::MutexLock lock(mu_);
-    QuiesceLocked();
-    for (double stall : worker_stall_seconds_) {
-      report.worker_stall_seconds += stall;
-    }
+    report.worker_stall_seconds = worker_stall_seconds_;
   }
-  // After the quiesce, no worker touches lane state until the driver
-  // publishes another tick/service generation.
+  // Tick() returned only after every worker finished its lanes, and no
+  // worker touches lane state again until the next Tick().
   report.num_workers = num_workers_;
   const CommitStats stats = coordinator_.stats();
   const uint64_t now = now_.load(std::memory_order_relaxed);
@@ -438,10 +402,9 @@ EngineReport ParallelEngine::Snapshot() {
                                              static_cast<double>(now));
     }
     for (const WorkItem& item : lane->fifo) residual += item.work_remaining;
+    common::MutexLock lock(lane->staging_mu);
     for (const WorkItem& item : lane->staging) residual += item.work_remaining;
-    lane->inbox.ForEach(
-        [&](const WorkItem& item) { residual += item.work_remaining; });
-    report.max_queue_depth.push_back(lane->inbox.high_water());
+    report.max_queue_depth.push_back(lane->max_staged);
   }
   report.sim.mean_utilization =
       utilization / static_cast<double>(config_.num_shards);
@@ -471,10 +434,6 @@ ParallelEngine::TakeObservedCommits() {
 }
 
 ParallelEngine::Trace ParallelEngine::ExtractTrace() {
-  {
-    common::MutexLock lock(mu_);
-    QuiesceLocked();
-  }
   Trace trace;
   // Lanes are concatenated in shard order, each already in execution order
   // with non-decreasing blocks; the stable sort interleaves them into the

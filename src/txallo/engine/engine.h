@@ -5,11 +5,13 @@
 // independent processors. The pieces:
 //
 //   * Ingest/mempool: SubmitBlock() routes each transaction by the current
-//     alloc::Allocation snapshot into one bounded MPSC queue per shard.
+//     alloc::Allocation snapshot and appends its parts to the staging
+//     buffer of each shard it touches (one locked append per shard per
+//     call).
 //   * Shard workers: a fixed pool of threads, shards striped across them
 //     (worker w owns shards s with s % num_workers == w — one worker per
-//     shard when threads >= shards). Each worker drains its shards' ingest
-//     queues into local FIFOs and, once per tick, executes one block of work
+//     shard when threads >= shards). Once per tick each worker moves its
+//     shards' staged parts into their FIFOs and executes one block of work
 //     per owned shard under the shared sim::WorkModel cost semantics
 //     (η per cross part, λ capacity per block).
 //   * Cross-shard commits: after each tick's worker barrier the driver
@@ -30,8 +32,8 @@
 //
 // Determinism: every submitted transaction carries an ingest *sequence tag*
 // (a position in a per-engine reservation counter, reserved once per
-// SubmitBlock call). Producers may push into a shard's inbox in any
-// interleaving — the lane stages arrivals and merges them into its FIFO in
+// SubmitBlock call). Producers may append to a shard's staging buffer in
+// any interleaving — the lane merges its staged arrivals into its FIFO in
 // sequence order at the next tick, after all in-flight submissions have
 // returned (the driver contract). Per-lane execution order is therefore a
 // pure function of the submitted blocks and installed snapshots,
@@ -41,8 +43,8 @@
 // serializes and replays bit-identically.
 //
 // Threading contract: ingest is multi-producer — SubmitBlock may be called
-// from any number of threads concurrently (the per-shard MPSC queues and
-// the 2PC registry are shared-state safe), and with a common::FanOut it
+// from any number of threads concurrently (the per-shard staging buffers
+// and the 2PC registry are shared-state safe), and with a common::FanOut it
 // slices one block across the pool's threads itself.
 // Tick/Snapshot/DrainAndReport remain driver API — one thread at a time,
 // and they must not overlap in-flight submissions (the logical clock
@@ -64,7 +66,6 @@
 #include "txallo/common/sha256.h"
 #include "txallo/common/status.h"
 #include "txallo/common/sync.h"
-#include "txallo/engine/mpsc_queue.h"
 #include "txallo/engine/two_phase.h"
 #include "txallo/sim/shard_sim.h"
 #include "txallo/sim/work_model.h"
@@ -90,9 +91,6 @@ struct EngineConfig {
   /// Worker threads; 0 = min(hardware_concurrency, num_shards). Clamped to
   /// [1, num_shards].
   uint32_t num_threads = 0;
-  /// Bound of each shard's ingest queue (transaction parts). Producers
-  /// block — after waking the consumer — when a queue is full.
-  size_t queue_capacity = 4096;
   /// Route accounts the snapshot has not placed by hash (account id mod k)
   /// instead of rejecting the block. What a live chain does for accounts
   /// created since the last allocation epoch; the reallocation pipeline
@@ -133,7 +131,9 @@ struct EngineReport {
   /// Same fields/semantics as the serial simulator's report.
   sim::SimReport sim;
   uint32_t num_workers = 0;
-  /// Per-shard ingest-queue high-water mark (backpressure indicator).
+  /// Per-shard peak number of parts staged between two ticks: the largest
+  /// arrival batch a shard had to merge at once. Deterministic — a function
+  /// of the submitted blocks and installed snapshots only.
   std::vector<uint64_t> max_queue_depth;
   /// Total seconds workers spent parked waiting for work or ticks.
   double worker_stall_seconds = 0.0;
@@ -173,7 +173,7 @@ class ParallelEngine {
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   /// Routes one block of transactions by the current allocation snapshot
-  /// into the shard queues. Blocks for backpressure when a queue is full.
+  /// into the shards' staging buffers.
   ///
   /// Tags: the call reserves the block's sequence range once, up front, and
   /// transaction i carries tag base + i. With `fan_out` null the block is
@@ -207,8 +207,8 @@ class ParallelEngine {
   std::vector<TwoPhaseCoordinator::Decision> TakeObservedCommits();
 
   /// The canonical recorded trace so far: prepares in (block, shard,
-  /// lane-position) order, commits in (block, seq) order. Driver-side;
-  /// quiesces workers first. Empty unless EnableTraceRecording() ran.
+  /// lane-position) order, commits in (block, seq) order. Driver-side.
+  /// Empty unless EnableTraceRecording() ran.
   struct Trace {
     std::vector<PrepareEvent> prepares;
     std::vector<CommitEvent> commits;
@@ -226,11 +226,11 @@ class ParallelEngine {
   /// after the barrier, due cross-shard commit decisions are flushed.
   void Tick();
 
-  /// Ticks until all queues drain and all commits land (bounded by
+  /// Ticks until all lanes drain and all commits land (bounded by
   /// `max_extra_blocks`), then reports.
   EngineReport DrainAndReport(uint64_t max_extra_blocks = 1'000'000);
 
-  /// Report without draining. Quiesces in-flight ingest drains first.
+  /// Report without draining. Driver-side.
   EngineReport Snapshot();
 
   uint64_t current_block() const {
@@ -265,17 +265,19 @@ class ParallelEngine {
     uint64_t seq;
     std::vector<state::Op> ops;
   };
-  // Per-shard execution state. The inbox is shared (producers push, owner
-  // worker drains); everything below it is owned by the shard's worker
-  // between barriers and read by the driver only after quiescing.
+  // Per-shard execution state. The staging buffer is shared (producers
+  // append, the owner worker takes it at the tick); everything below it is
+  // owned by the shard's worker during a tick and read by the driver only
+  // between ticks.
   struct ShardLane {
-    explicit ShardLane(size_t queue_capacity) : inbox(queue_capacity) {}
-    MpscQueue<WorkItem> inbox;
-    // Arrivals drained from the inbox in push (interleaving-dependent)
+    common::Mutex staging_mu;
+    // Arrivals since the last tick, in append (interleaving-dependent)
     // order; merged into the FIFO in sequence order at the next tick, once
     // every in-flight submission has returned. This staging step is what
     // makes per-lane order producer-schedule independent.
-    std::vector<WorkItem> staging;
+    std::vector<WorkItem> staging TXALLO_GUARDED_BY(staging_mu);
+    // Largest staging size reached (EngineReport::max_queue_depth).
+    uint64_t max_staged TXALLO_GUARDED_BY(staging_mu) = 0;
     std::deque<WorkItem> fifo;
     double processed_work = 0.0;
     // Prepare votes in execution order (only when recording; owner-written).
@@ -289,7 +291,8 @@ class ParallelEngine {
     double migration_debt = 0.0;
   };
   // Routes `count` transactions; transaction i carries tag first_seq + i.
-  // Reads one copy-on-write snapshot and pushes into the MPSC inboxes, so
+  // Reads one copy-on-write snapshot, buckets the parts by shard and
+  // appends each bucket to its lane's staging under the lane's lock, so
   // disjoint slices may run on different threads at once.
   Status SubmitTransactions(const chain::Transaction* transactions,
                             size_t count, uint64_t first_seq);
@@ -300,14 +303,6 @@ class ParallelEngine {
   // allocation install to state residency (migrating records) and charges
   // the moved records as migration debt against the involved lanes' λ.
   void SyncStateResidency();
-  // Wakes workers to drain their inboxes (called by full queues' handler).
-  void RequestService();
-  // Driver-side: waits until every worker has observed the latest tick and
-  // service generations, so lane state is safe to read.
-  void QuiesceLocked() TXALLO_REQUIRES(mu_);
-  // True when every worker has caught up with tick_generation_ (and, when
-  // `and_services`, with service_generation_ too).
-  bool WorkersCaughtUpLocked(bool and_services) const TXALLO_REQUIRES(mu_);
 
   const EngineConfig config_;
   TwoPhaseCoordinator coordinator_;
@@ -339,21 +334,19 @@ class ParallelEngine {
   bool observe_commits_ = false;
   std::vector<TwoPhaseCoordinator::Decision> observed_commits_;
 
-  // Tick/service protocol. Per-worker progress lives in parallel vectors
-  // (index = worker) rather than a per-worker struct so the counters can be
-  // annotated against mu_ and the analysis sees every access.
+  // Tick protocol: Tick() bumps tick_generation_ and sets workers_busy_ to
+  // the worker count; each worker runs its lanes for that tick, decrements
+  // workers_busy_, and Tick() returns once it reaches zero.
   mutable common::Mutex mu_;
   common::CondVar cv_workers_;
   common::CondVar cv_driver_;
   uint64_t tick_generation_ TXALLO_GUARDED_BY(mu_) = 0;
-  uint64_t service_generation_ TXALLO_GUARDED_BY(mu_) = 0;
+  uint32_t workers_busy_ TXALLO_GUARDED_BY(mu_) = 0;
   bool stopping_ TXALLO_GUARDED_BY(mu_) = false;
   // Workers sample it under mu_ at the top of each loop iteration and pass
   // the value into ExecuteBlock.
   bool record_trace_ TXALLO_GUARDED_BY(mu_) = false;
-  std::vector<uint64_t> worker_ticks_done_ TXALLO_GUARDED_BY(mu_);
-  std::vector<uint64_t> worker_services_done_ TXALLO_GUARDED_BY(mu_);
-  std::vector<double> worker_stall_seconds_ TXALLO_GUARDED_BY(mu_);
+  double worker_stall_seconds_ TXALLO_GUARDED_BY(mu_) = 0.0;
   // Sized before any thread spawns, then joined in the destructor; only the
   // constructor/destructor touch the vector itself.
   std::vector<std::thread> worker_threads_;  // txallo-lint: allow(raw-thread)

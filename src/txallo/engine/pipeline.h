@@ -29,7 +29,7 @@
 //
 // Ingest can fan out too: `ingest_producers >= 2` starts one
 // common::FanOut of that many threads, which slices every block into the
-// per-shard MPSC queues (ParallelEngine::SubmitBlock) and, in open loop,
+// per-shard staging buffers (ParallelEngine::SubmitBlock) and, in open loop,
 // every tick's offer into the mempool, instead of the driver thread.
 //
 // Ingest modes: the classic driver is *closed-loop* — it feeds one ledger

@@ -16,7 +16,11 @@ namespace txallo::engine {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'X', 'T', 'R', 'A', 'C', 'E', '4'};
+constexpr char kMagic[8] = {'T', 'X', 'T', 'R', 'A', 'C', 'E', '5'};
+// The magic is followed by a u64 checksum of the body (every byte after the
+// checksum): the first 8 bytes of its SHA-256. A trace with any changed body
+// byte fails to load before a field is read.
+constexpr size_t kChecksumBytes = 8;
 
 // The trace format is defined here, once: each record type has one field
 // list, in wire order, of (name, member, tag). The binary writer and reader,
@@ -151,7 +155,7 @@ constexpr size_t MinRecordBytes() {
   });
   return bytes;
 }
-// The TXTRACE4 record sizes: a list edit that moves one of these changes the
+// The TXTRACE5 record sizes: a list edit that moves one of these changes the
 // format, which needs a magic bump and a regenerated golden fixture.
 static_assert(MinRecordBytes<PrepareEvent>() == 20);
 static_assert(MinRecordBytes<CommitEvent>() == 18);
@@ -556,14 +560,17 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
 }
 
 Status SaveReplayLog(const ReplayLog& log, const std::string& path) {
+  std::string body;
+  PutFields(&body, log.meta);
+  PutFields(&body, log);
+  PutStream(&body, log.prepares);
+  PutStream(&body, log.commits);
+  PutStream(&body, log.state_roots);
+  PutStream(&body, log.installs);
+  PutStream(&body, log.steps);
   std::string out(kMagic, sizeof(kMagic));
-  PutFields(&out, log.meta);
-  PutFields(&out, log);
-  PutStream(&out, log.prepares);
-  PutStream(&out, log.commits);
-  PutStream(&out, log.state_roots);
-  PutStream(&out, log.installs);
-  PutStream(&out, log.steps);
+  Put(&out, Sha256::Hash64(body));
+  out += body;
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file.is_open()) {
     return Status::IOError("cannot open '" + path + "' for writing");
@@ -584,12 +591,18 @@ Result<ReplayLog> LoadReplayLog(const std::string& path) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   const std::string data = std::move(buffer).str();
-  if (data.size() < sizeof(kMagic) ||
+  if (data.size() < sizeof(kMagic) + kChecksumBytes ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("'" + path +
-                              "' is not a TXTRACE4 replay trace");
+                              "' is not a TXTRACE5 replay trace");
   }
   std::string_view in = std::string_view(data).substr(sizeof(kMagic));
+  uint64_t checksum = 0;
+  Read(&in, &checksum);
+  if (checksum != Sha256::Hash64(in)) {
+    return Status::Corruption("trace '" + path +
+                              "' fails its body checksum");
+  }
   ReplayLog log;
   const bool ok = ReadFields(&in, &log.meta) && ReadFields(&in, &log) &&
                   ReadStream(&in, &log.prepares) &&

@@ -180,7 +180,8 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
                                             ParallelEngine* engine,
                                             const PipelineConfig& config);
 
-/// Writes `log` in the compact binary trace format (magic "TXTRACE4",
+/// Writes `log` in the compact binary trace format (magic "TXTRACE5", a
+/// u64 body checksum — the first 8 bytes of the body's SHA-256 — then
 /// fixed-width little-endian fields). The format is defined once, in
 /// replay.cc: one field list per record (ReplayLog::Meta, the log-level
 /// scalars, PrepareEvent, CommitEvent, TickStateRoot, InstallEvent,
@@ -197,8 +198,9 @@ Result<PipelineResult> ReplayRecordedStream(const chain::Ledger& ledger,
 Status SaveReplayLog(const ReplayLog& log, const std::string& path);
 
 /// Reads a trace written by SaveReplayLog. Corruption and version drift
-/// surface as Corruption errors: every count is checked against the bytes
-/// left before anything is allocated, every installed shard against the
+/// surface as Corruption errors: the body checksum is verified before any
+/// field is read, every count is checked against the bytes left before
+/// anything is allocated, every installed shard against the
 /// mapping's shard count, and trailing bytes are corruption too.
 Result<ReplayLog> LoadReplayLog(const std::string& path);
 

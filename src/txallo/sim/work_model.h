@@ -49,6 +49,16 @@ enum class UnassignedPolicy {
   kHashFallback,
 };
 
+/// The per-account routing rule: writes the shard `account` executes on
+/// under `allocation` to `*shard` — its assigned shard, or account id mod k
+/// for an unplaced account under kHashFallback. Returns FailedPrecondition
+/// for an unplaced account under kReject. RouteTransaction applies it to
+/// every account of a transaction, and the engine to every op of a transfer
+/// plan, so a part carries exactly the ops of the accounts routed to it.
+Status RouteAccount(chain::AccountId account,
+                    const alloc::Allocation& allocation,
+                    UnassignedPolicy policy, alloc::ShardId* shard);
+
 /// Computes the distinct shards `tx` touches under `allocation` into
 /// `*shards` (cleared first, order of first appearance preserved — the
 /// executors' queueing order). Returns FailedPrecondition on an unassigned

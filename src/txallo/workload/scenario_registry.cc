@@ -28,11 +28,11 @@ Status ReadFraction(const OptionMap& options, const std::string& key,
 }
 
 // Caps on the keys that size an allocation up front (a block's transaction
-// vector, a pre-created account pool, one transaction's output list), so a
-// typo like pool=2^40 fails as InvalidArgument instead of std::bad_alloc.
-// The usage text shows them.
+// vector, the account and community tables, a pre-created account pool,
+// one transaction's output list), so a typo like pool=2^40 fails as
+// InvalidArgument instead of std::bad_alloc. The usage text shows them.
 constexpr uint64_t kMaxTxsPerBlock = uint64_t{1} << 20;
-constexpr uint64_t kMaxNewAccounts = uint64_t{1} << 24;
+constexpr uint64_t kMaxAccounts = uint64_t{1} << 24;
 constexpr uint64_t kMaxFanout = 1024;
 
 // Reads `key` like ReadUint64, then caps the resolved value: the key's, or
@@ -60,9 +60,10 @@ Status ApplyCommonKeys(const OptionMap& options, ScenarioShape* shape) {
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "blocks", &shape->num_blocks));
   TXALLO_RETURN_NOT_OK(ReadCapped(options, "txs-per-block", kMaxTxsPerBlock,
                                   &shape->txs_per_block));
-  TXALLO_RETURN_NOT_OK(ReadUint64(options, "accounts", &shape->num_accounts));
   TXALLO_RETURN_NOT_OK(
-      ReadUint32(options, "communities", &shape->num_communities));
+      ReadCapped(options, "accounts", kMaxAccounts, &shape->num_accounts));
+  TXALLO_RETURN_NOT_OK(ReadCapped(options, "communities", kMaxAccounts,
+                                  &shape->num_communities));
   TXALLO_RETURN_NOT_OK(
       ReadInt64(options, "balance", &shape->initial_balance));
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "seed", &shape->seed));
@@ -177,7 +178,7 @@ Result<std::unique_ptr<Scenario>> MakeChurn(const std::string& spec,
   params.pool = std::max<uint64_t>(1, shape.num_accounts / 16);
   params.lifetime = std::max<uint64_t>(1, shape.num_blocks / 4);
   TXALLO_RETURN_NOT_OK(
-      ReadCapped(options, "pool", kMaxNewAccounts, &params.pool));
+      ReadCapped(options, "pool", kMaxAccounts, &params.pool));
   TXALLO_RETURN_NOT_OK(ReadUint64(options, "lifetime", &params.lifetime));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "intra", &params.intra));
@@ -198,7 +199,7 @@ Result<std::unique_ptr<Scenario>> MakeMultiAsset(const std::string& spec,
       ExpectOnly(name, options, {"assets", "share", "asset-skew"}));
   MultiAssetParams params;
   TXALLO_RETURN_NOT_OK(
-      ReadCapped(options, "assets", kMaxNewAccounts, &params.assets));
+      ReadCapped(options, "assets", kMaxAccounts, &params.assets));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params.share));
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options, "asset-skew", &params.asset_skew));
@@ -220,7 +221,7 @@ Status ReadShardAttackParams(const OptionMap& options,
   TXALLO_RETURN_NOT_OK(ReadUint32(options, "shards", &params->shards));
   TXALLO_RETURN_NOT_OK(ReadUint32(options, "target", &params->target));
   TXALLO_RETURN_NOT_OK(
-      ReadCapped(options, "attackers", kMaxNewAccounts, &params->attackers));
+      ReadCapped(options, "attackers", kMaxAccounts, &params->attackers));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
   TXALLO_RETURN_NOT_OK(
       ReadDouble(options, "victim-skew", &params->victim_skew));
@@ -261,7 +262,7 @@ Status ReadSybilParams(const OptionMap& options, const ScenarioShape& shape,
                        SybilParams* params) {
   params->horizon_blocks = shape.num_blocks;
   TXALLO_RETURN_NOT_OK(
-      ReadCapped(options, "sybils", kMaxNewAccounts, &params->sybils));
+      ReadCapped(options, "sybils", kMaxAccounts, &params->sybils));
   TXALLO_RETURN_NOT_OK(
       ReadCapped(options, "fanout", kMaxFanout, &params->fanout));
   TXALLO_RETURN_NOT_OK(ReadFraction(options, "share", &params->share));
@@ -376,7 +377,7 @@ constexpr OptionDocLit kDiurnalOptionDocs[] = {
 };
 constexpr OptionDocLit kChurnOptionDocs[] = {
     {"pool", "uint", "accounts/16", ">= 1", "short-lived account pool size",
-     kMaxNewAccounts},
+     kMaxAccounts},
     {"lifetime", "uint", "blocks/4", ">= 1",
      "blocks from an account's birth to its death"},
     {"share", "double", "0.3", "[0, 1]", "fraction of traffic that churns"},
@@ -385,7 +386,7 @@ constexpr OptionDocLit kChurnOptionDocs[] = {
 };
 constexpr OptionDocLit kMultiAssetOptionDocs[] = {
     {"assets", "uint", "8", ">= 1", "distinct asset contract accounts",
-     kMaxNewAccounts},
+     kMaxAccounts},
     {"share", "double", "0.4", "[0, 1]",
      "fraction of transfers carrying an asset output"},
     {"asset-skew", "double", "1.0", ">= 0",
@@ -396,14 +397,14 @@ constexpr OptionDocLit kShardAttackOptionDocs[] = {
      "shard count the attack is tuned against (match the engine's k)"},
     {"target", "uint", "0", "< shards", "victim shard under hash routing"},
     {"attackers", "uint", "64", ">= 1", "fresh attacker accounts",
-     kMaxNewAccounts},
+     kMaxAccounts},
     {"share", "double", "0.4", "[0, 1]", "attack traffic fraction"},
     {"victim-skew", "double", "1.0", ">= 0",
      "Zipf skew over the victim shard's resident accounts"},
 };
 constexpr OptionDocLit kSybilOptionDocs[] = {
     {"sybils", "uint", "512", ">= 1", "fresh sybil addresses born over the run",
-     kMaxNewAccounts},
+     kMaxAccounts},
     {"fanout", "uint", "4", ">= 1", "outputs per sybil transaction",
      kMaxFanout},
     {"share", "double", "0.3", "[0, 1]", "sybil traffic fraction"},
@@ -536,9 +537,9 @@ std::string ScenarioUsageText() {
       "Scenario specs: NAME or NAME:key=value[,key=value...]\n\n"
       "Common shape keys (every scenario): blocks=<uint>, "
       "txs-per-block=<uint> (<= " +
-      std::to_string(kMaxTxsPerBlock) +
-      "), accounts=<uint>, communities=<uint>, balance=<int>, "
-      "seed=<uint>\n\n";
+      std::to_string(kMaxTxsPerBlock) + "), accounts=<uint> (<= " +
+      std::to_string(kMaxAccounts) + "), communities=<uint> (<= " +
+      std::to_string(kMaxAccounts) + "), balance=<int>, seed=<uint>\n\n";
   for (const ScenarioDoc& doc : DescribeScenarios()) {
     out += doc.name + "\n    " + doc.summary + "\n";
     if (doc.options.empty()) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
+
+#include "txallo/common/fan_out.h"
 
 namespace txallo::engine {
 namespace {
@@ -173,12 +176,11 @@ TEST(ParallelEngineTest, MoreThreadsThanShardsIsClamped) {
   EXPECT_EQ(engine.num_workers(), 2u);
 }
 
-TEST(ParallelEngineTest, BoundedQueueBackpressureStillCompletes) {
-  // Queue capacity 4 against a 200-part block: Push must block and the
-  // full-handler service path must drain without a tick.
+TEST(ParallelEngineTest, WholeBlockStagesAtOnceAndCommitsInOneTick) {
+  // A 200-part block lands in shard 0's staging in full before the tick,
+  // and λ = 500 executes all of it in that tick.
   auto alloc = MakeAllocation(2, 2, {0, 0});
   EngineConfig config = SmallConfig(2, 2);
-  config.queue_capacity = 4;
   config.work.capacity_per_block = 500.0;
   ParallelEngine engine(config, alloc);
   std::vector<chain::Transaction> txs(200, chain::Transaction::Simple(0, 1));
@@ -186,7 +188,8 @@ TEST(ParallelEngineTest, BoundedQueueBackpressureStillCompletes) {
   EngineReport report = engine.DrainAndReport();
   EXPECT_EQ(report.sim.committed, 200u);
   ASSERT_EQ(report.max_queue_depth.size(), 2u);
-  EXPECT_LE(report.max_queue_depth[0], 4u);
+  EXPECT_EQ(report.max_queue_depth[0], 200u);
+  EXPECT_EQ(report.max_queue_depth[1], 0u);
   EXPECT_EQ(report.sim.blocks_elapsed, 1u);
 }
 
@@ -198,8 +201,45 @@ TEST(ParallelEngineTest, QueueDepthHighWaterIsReported) {
   ASSERT_TRUE(engine.SubmitBlock(txs).ok());
   EngineReport report = engine.DrainAndReport();
   ASSERT_EQ(report.max_queue_depth.size(), 2u);
-  EXPECT_GE(report.max_queue_depth[0], 1u);
+  EXPECT_EQ(report.max_queue_depth[0], 6u);
   EXPECT_EQ(report.max_queue_depth[1], 0u);
+}
+
+TEST(ParallelEngineTest, QueueDepthIsThePerTickArrivalPeakForAnyShape) {
+  // Accounts 0..3 live on shards 0..3. Each block is one tick's arrivals;
+  // a cross-shard transaction stages one part on each of its shards.
+  auto repeat = [](std::vector<chain::Transaction>* block, size_t n,
+                   chain::AccountId from, chain::AccountId to) {
+    block->insert(block->end(), n, chain::Transaction::Simple(from, to));
+  };
+  std::vector<std::vector<chain::Transaction>> blocks(3);
+  repeat(&blocks[0], 50, 0, 0);  // shard 0: 50 + 30 = 80
+  repeat(&blocks[0], 30, 0, 1);  // shard 1: 30
+  repeat(&blocks[1], 20, 0, 0);  // shard 0: 20
+  repeat(&blocks[1], 60, 1, 2);  // shards 1 and 2: 60 each
+  repeat(&blocks[2], 10, 2, 3);  // shards 2 and 3: 10 each
+  repeat(&blocks[2], 40, 3, 3);  // shard 3: 10 + 40 = 50
+  // λ = 10 leaves a backlog every tick; it waits in the FIFO, not in
+  // staging, so it never counts towards the depth.
+  const std::vector<uint64_t> expected{80, 60, 60, 50};
+  auto alloc = MakeAllocation(4, 4, {0, 1, 2, 3});
+  for (uint32_t threads : {1u, 3u}) {
+    for (uint32_t producers : {0u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " producers=" << producers);
+      std::optional<common::FanOut> fan_out;
+      if (producers > 0) fan_out.emplace(producers);
+      ParallelEngine engine(SmallConfig(4, threads), alloc);
+      for (const auto& block : blocks) {
+        ASSERT_TRUE(
+            engine.SubmitBlock(block, fan_out ? &*fan_out : nullptr).ok());
+        engine.Tick();
+      }
+      EngineReport report = engine.DrainAndReport();
+      EXPECT_EQ(report.sim.committed, 210u);
+      EXPECT_EQ(report.max_queue_depth, expected);
+    }
+  }
 }
 
 }  // namespace

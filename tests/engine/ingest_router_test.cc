@@ -1,7 +1,7 @@
 // Multi-producer ingest routing: ParallelEngine::SubmitBlock fanning one
 // block across the threads of a common::FanOut into the engine's per-shard
-// MPSC queues. The stress tests are what the TSan CI job runs — routing
-// reads, 2PC registration and queue pushes all race across producers by
+// staging buffers. The stress tests are what the TSan CI job runs — routing
+// reads, 2PC registration and staging appends all race across producers by
 // design.
 #include <gtest/gtest.h>
 

@@ -6,17 +6,19 @@
 // canonical execution against silent behaviour drift (regenerate it
 // deliberately with the `regen-golden-trace` target). The fixture also pins
 // the trace format: it must re-save byte for byte, dump to the committed
-// CSV, and survive seeded mutation without crashing the loader.
+// CSV, and every seeded mutation of it must fail to load as Corruption.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "golden_trace_fixture.h"
 #include "txallo/common/rng.h"
+#include "txallo/common/sha256.h"
 #include "txallo/engine/replay.h"
 #include "txallo/workload/ethereum_like.h"
 
@@ -151,7 +153,7 @@ TEST(ReplayGoldenTest, CommittedFixtureResavesByteIdentically) {
   const std::string resaved = ::testing::TempDir() + "golden_resaved.trace";
   ASSERT_TRUE(engine::SaveReplayLog(*fixture, resaved).ok());
   EXPECT_TRUE(ReadFile(resaved) == ReadFile(path))
-      << "SaveReplayLog no longer writes the TXTRACE4 bytes it reads";
+      << "SaveReplayLog no longer writes the TXTRACE5 bytes it reads";
 }
 
 TEST(ReplayGoldenTest, CommittedFixtureDumpsToTheCommittedCsv) {
@@ -166,6 +168,16 @@ TEST(ReplayGoldenTest, CommittedFixtureDumpsToTheCommittedCsv) {
       << "CSV dump drifted; diff " << dumped << " against testdata";
 }
 
+// Rewrites the body checksum after the magic so a mutated body passes it,
+// which leaves the field reader alone to reject (or accept) the bytes.
+void ResealChecksum(std::string* trace) {
+  uint64_t checksum = Sha256::Hash64(std::string_view(*trace).substr(16));
+  for (size_t b = 0; b < 8; ++b) {
+    (*trace)[8 + b] = static_cast<char>(checksum & 0xff);
+    checksum >>= 8;
+  }
+}
+
 TEST(ReplayGoldenTest, SeededMutationsLoadOrFailAsCorruption) {
   const std::string path = TestdataPath(testing::kGoldenTraceFile);
   const std::string bytes = ReadFile(path);
@@ -173,9 +185,9 @@ TEST(ReplayGoldenTest, SeededMutationsLoadOrFailAsCorruption) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
 
   // Offsets of every u64 length or count in the fixture, walked from the
-  // loaded log with the TXTRACE4 record sizes.
+  // loaded log with the TXTRACE5 record sizes.
   std::vector<size_t> counts;
-  size_t pos = 8 + 127;  // Magic, then the fixed-width meta fields.
+  size_t pos = 8 + 8 + 127;  // Magic, checksum, fixed-width meta fields.
   counts.push_back(pos);  // workload_spec length.
   pos += 8 + log->meta.workload_spec.size() + 5 * 8;  // + log scalars.
   counts.push_back(pos);
@@ -196,39 +208,47 @@ TEST(ReplayGoldenTest, SeededMutationsLoadOrFailAsCorruption) {
 
   Rng rng(20240613);
   const std::string mutated_path = ::testing::TempDir() + "mutated.trace";
-  size_t loaded_ok = 0;
+  size_t resealed_loaded = 0;
   constexpr int kCases = 2000;
   for (int i = 0; i < kCases; ++i) {
     std::string mutated = bytes;
-    bool must_fail = true;
-    switch (i % 3) {
-      case 0: {  // Flip one to four random bytes.
+    const int kind = i % 4;
+    switch (kind) {
+      case 0:    // Flip one to four random bytes.
+      case 3: {  // The same, with the checksum resealed afterwards.
         const uint64_t flips = 1 + rng.NextBounded(4);
         for (uint64_t f = 0; f < flips; ++f) {
           const size_t at = rng.NextBounded(mutated.size());
           mutated[at] = static_cast<char>(mutated[at] ^
                                           (1 + rng.NextBounded(255)));
         }
-        must_fail = false;  // A flip inside a payload can stay valid.
+        if (kind == 3) ResealChecksum(&mutated);
         break;
       }
       case 1:  // Truncate anywhere.
         mutated.resize(rng.NextBounded(mutated.size()));
         break;
-      case 2: {  // Set one count to 2^63.
+      case 2: {  // Set one count to 2^63 and reseal: the reader must catch it.
         const size_t at = counts[rng.NextBounded(counts.size())];
         for (size_t b = 0; b < 8; ++b) mutated[at + b] = 0;
         mutated[at + 7] = static_cast<char>(0x80);
+        ResealChecksum(&mutated);
         break;
       }
     }
     WriteFile(mutated_path, mutated);
     const Result<engine::ReplayLog> loaded =
         engine::LoadReplayLog(mutated_path);
-    if (loaded.ok()) {
-      ++loaded_ok;
-      EXPECT_FALSE(must_fail) << "case " << i << " loaded";
-      // A mapping that loads names only shards it has.
+    if (mutated == bytes) {  // Flips that cancelled out.
+      EXPECT_TRUE(loaded.ok()) << "case " << i;
+      continue;
+    }
+    const bool magic_intact =
+        mutated.size() >= 16 && mutated.compare(0, 8, bytes, 0, 8) == 0;
+    if (kind == 3 && magic_intact && loaded.ok()) {
+      // A resealed flip inside a payload can stay valid; a mapping that
+      // loads still names only shards it has.
+      ++resealed_loaded;
       for (const engine::InstallEvent& install : loaded->installs) {
         const std::vector<alloc::ShardId>& shards = install.allocation.raw();
         EXPECT_TRUE(std::all_of(shards.begin(), shards.end(), [&](auto s) {
@@ -236,14 +256,22 @@ TEST(ReplayGoldenTest, SeededMutationsLoadOrFailAsCorruption) {
                  s < install.allocation.num_shards();
         })) << "case " << i;
       }
-    } else {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      continue;
+    }
+    ASSERT_FALSE(loaded.ok()) << "case " << i << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << "case " << i << ": " << loaded.status().ToString();
+    // Unsealed changes fail on the checksum, before any field is read;
+    // resealed ones get past it and fail in the reader.
+    const bool checksum_failure =
+        loaded.status().message().find("checksum") != std::string::npos;
+    if (magic_intact) {
+      EXPECT_EQ(checksum_failure, kind == 0 || kind == 1)
           << "case " << i << ": " << loaded.status().ToString();
     }
   }
-  // Most flips land in payload bytes and still load (TXTRACE4 has no body
-  // checksum); none loading would mean the mutator never reached them.
-  EXPECT_GT(loaded_ok, 0u);
+  // None loading would mean the resealed flips never reached a payload.
+  EXPECT_GT(resealed_loaded, 0u);
 }
 
 }  // namespace

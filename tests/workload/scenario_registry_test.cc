@@ -109,7 +109,7 @@ TEST(ScenarioRegistryTest, NegativeAndOverflowingIntegersNameTheirKey) {
       {"ethereum:blocks=-5", "blocks"},
       {"spike:seed=99999999999999999999999", "seed"},
       {"diurnal:width=-1", "width"},
-      {"ethereum:accounts=4294967296", "num_accounts"},
+      {"ethereum:accounts=4294967296", "'accounts'"},
   };
   for (const auto& [spec, key] : bad_specs) {
     SCOPED_TRACE(spec);
@@ -131,7 +131,12 @@ TEST(ScenarioRegistryTest, AllocationSizingKeysAreCappedAndNamed) {
       {"sybil:sybils=1099511627776", "sybils"},
       {"sybil:fanout=4294967295", "fanout"},
       {"shard-attack:attackers=4294967295", "attackers"},
+      {"ethereum:accounts=4294967295,communities=4294967295", "accounts"},
+      {"ethereum:accounts=100000000,communities=10", "accounts"},
+      {"ethereum:communities=4294967295", "communities"},
       // One past each cap.
+      {"ethereum:accounts=16777217", "accounts"},
+      {"ethereum:communities=16777217", "communities"},
       {"ethereum:txs-per-block=1048577", "txs-per-block"},
       {"churn:pool=16777217", "pool"},
       {"sybil:fanout=1025", "fanout"},
@@ -151,6 +156,10 @@ TEST(ScenarioRegistryTest, AllocationSizingKeysAreCappedAndNamed) {
   auto scenario = MakeScenarioFromSpec("ethereum", wide);
   ASSERT_FALSE(scenario.ok());
   EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+  ScenarioShape many = SmallShape();
+  many.num_accounts = (uint64_t{1} << 24) + 1;
+  EXPECT_EQ(MakeScenarioFromSpec("ethereum", many).status().code(),
+            StatusCode::kInvalidArgument);
   // A value at the cap is accepted.
   EXPECT_TRUE(MakeScenarioFromSpec("sybil:fanout=1024", SmallShape()).ok());
 }
@@ -158,6 +167,9 @@ TEST(ScenarioRegistryTest, AllocationSizingKeysAreCappedAndNamed) {
 TEST(ScenarioRegistryTest, UsageTextStatesEachCap) {
   const std::string usage = ScenarioUsageText();
   EXPECT_NE(usage.find("txs-per-block=<uint> (<= 1048576)"),
+            std::string::npos);
+  EXPECT_NE(usage.find("accounts=<uint> (<= 16777216)"), std::string::npos);
+  EXPECT_NE(usage.find("communities=<uint> (<= 16777216)"),
             std::string::npos);
   for (const char* key : {"pool", "assets", "attackers", "sybils"}) {
     EXPECT_NE(usage.find(std::string("    ") + key + "=<uint>"),
