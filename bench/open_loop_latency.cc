@@ -30,7 +30,7 @@
 //       [--blocks=64] [--txs-per-block=96] [--epoch-blocks=16]
 //       [--service-rate=120] [--dispatch-per-tick=N] [--capacity=N]
 //       [--pending-limit=N] [--rate-limit=N] [--ttl=N]
-//       [--policy=reject|block] [--producers=N] [--no-cleaner]
+//       [--policy=reject|block] [--producers=N]
 //       [--json-out=PATH] [--record=PATH | --replay=PATH]
 #include <cerrno>
 #include <cmath>
@@ -255,7 +255,6 @@ int main(int argc, char** argv) {
     pipeline.open_loop.offered_load = load;
     pipeline.open_loop.dispatch_per_tick = dispatch_per_tick;
     pipeline.open_loop.mempool = mempool_config;
-    pipeline.open_loop.cleaner = !flags.GetBool("no-cleaner", false);
     return pipeline;
   };
 

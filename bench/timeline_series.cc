@@ -7,9 +7,9 @@
 // The allocation schedule is the pipeline's: --alloc-mode=background
 // (default) computes each epoch's rebalance on the BackgroundAllocator
 // worker while the next epoch executes (install deferred one boundary, the
-// deterministic software-pipelining schedule); sync/deferred run it on the
-// driver. --producers=N fans ingest out over a common::FanOut of N
-// threads (PipelineConfig::ingest_producers).
+// deterministic software-pipelining schedule); sync runs it on the driver
+// and installs at once. --producers=N fans ingest out over a
+// common::FanOut of N threads (PipelineConfig::ingest_producers).
 //
 // Record/replay (engine/replay.h): --record=PATH saves the first method's
 // run as a deterministic trace; --replay=PATH re-executes a saved trace on
@@ -22,9 +22,7 @@
 // balance transfers with 2PC commit/rollback and per-tick Merkle roots;
 // --state-balance tunes the funding level (tight funding produces
 // insufficient-balance aborts), --migration-work the per-record λ charge of
-// allocation installs. --overrun=1 lets a background rebalance overrun its
-// epoch (install deferred to the next boundary it is ready for) instead of
-// stalling the driver. --json-out=PATH dumps the deterministic state-
+// allocation installs. --json-out=PATH dumps the deterministic state-
 // relevant series (committed/aborted/migrated per step, final Merkle root)
 // as JSON — the committed BENCH_state.json snapshot comes from here.
 //
@@ -37,9 +35,9 @@
 //   ./build/bench/timeline_series [--methods=a;b] [--k=8] [--eta=2]
 //       [--scenario=SPEC]
 //       [--blocks=96] [--txs-per-block=120] [--epoch-blocks=12]
-//       [--alloc-mode=background|deferred|sync] [--producers=N]
+//       [--alloc-mode=background|sync] [--producers=N]
 //       [--state=0|1] [--state-balance=N] [--migration-work=X]
-//       [--overrun=0|1] [--json-out=PATH]
+//       [--json-out=PATH]
 //       [--record=PATH | --replay=PATH]
 #include <cstdio>
 #include <fstream>
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
   // out, so the abort column is exercised, not identically zero.
   const int64_t state_balance = flags.GetInt("state-balance", 48);
   const double migration_work = flags.GetDouble("migration-work", 1.0);
-  const bool overrun = flags.GetInt("overrun", 0) != 0;
   const std::string json_out = flags.GetString("json-out", "");
   auto mode = engine::ParseAllocatorMode(
       flags.GetString("alloc-mode", "background"));
@@ -135,7 +132,7 @@ int main(int argc, char** argv) {
   bench::SeriesTable summary(
       "Summary per allocator",
       {"allocator", "committed", "tput/blk", "cross%", "aborted", "migrated",
-       "epochs", "skipped", "moved", "alloc-s", "wait-s", "overlap%"});
+       "epochs", "moved", "alloc-s", "wait-s", "overlap%"});
 
   const auto add_series_rows = [&](const std::string& label,
                                    const engine::PipelineResult& result) {
@@ -172,8 +169,6 @@ int main(int argc, char** argv) {
     entry += "      \"accounts_moved\": " +
              std::to_string(result.accounts_moved) + ",\n";
     entry += "      \"epochs\": " + std::to_string(result.epochs) + ",\n";
-    entry += "      \"overrun_boundaries\": " +
-             std::to_string(result.overrun_boundaries) + ",\n";
     entry += "      \"final_state_root\": \"";
     if (state_on && engine != nullptr && engine->state() != nullptr) {
       entry += DigestToHex(engine->state()->GlobalRoot());
@@ -285,7 +280,6 @@ int main(int argc, char** argv) {
     pipeline.blocks_per_epoch = epoch_blocks;
     pipeline.allocator_mode = *mode;
     pipeline.ingest_producers = producers;
-    pipeline.allow_epoch_overrun = overrun;
     pipeline.workload_spec = scenario_spec;
     if (!trace.record_path.empty()) pipeline.record = &log;
     auto result =
@@ -322,7 +316,6 @@ int main(int argc, char** argv) {
                     std::to_string(result->report.aborted),
                     std::to_string(result->report.accounts_migrated),
                     std::to_string(result->epochs),
-                    std::to_string(result->overrun_boundaries),
                     std::to_string(result->accounts_moved),
                     bench::Fmt(result->alloc_seconds, 4),
                     bench::Fmt(result->alloc_wait_seconds, 4),
@@ -338,6 +331,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\noverlap%% = share of allocation wall time hidden behind execution "
       "(alloc-mode=background\noverlaps each epoch's rebalance with the next "
-      "epoch's ticks; sync/deferred stall the driver).\n");
+      "epoch's ticks; sync stalls the driver).\n");
   return 0;
 }

@@ -16,7 +16,7 @@
 // ones (queue depth, worker stall, reallocation pause).
 //
 //   ./build/examples/parallel_engine [--blocks=N] [--k=K] [--threads=T]
-//       [--allocator=SPEC] [--alloc-mode=background|deferred|sync]
+//       [--allocator=SPEC] [--alloc-mode=background|sync]
 //       [--producers=N]
 //
 // --alloc-mode=background (the default) computes each epoch's rebalance on

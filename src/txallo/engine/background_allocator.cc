@@ -68,17 +68,6 @@ bool BackgroundAllocator::busy() const {
   return in_flight_;
 }
 
-BackgroundAllocator::Outcome BackgroundAllocator::HarvestLocked() {
-  Outcome outcome;
-  outcome.task = std::move(task_);
-  outcome.mapping = std::move(*run_result_);
-  outcome.run_seconds = run_seconds_;
-  run_result_.reset();
-  in_flight_ = false;
-  run_done_ = false;
-  return outcome;
-}
-
 Result<BackgroundAllocator::Outcome> BackgroundAllocator::Collect() {
   Stopwatch wait_watch;
   common::MutexLock lock(mu_);
@@ -89,21 +78,15 @@ Result<BackgroundAllocator::Outcome> BackgroundAllocator::Collect() {
   while (!run_done_) {
     cv_owner_.Wait(mu_);
   }
-  Outcome outcome = HarvestLocked();
+  Outcome outcome;
+  outcome.task = std::move(task_);
+  outcome.mapping = std::move(*run_result_);
+  outcome.run_seconds = run_seconds_;
+  run_result_.reset();
+  in_flight_ = false;
+  run_done_ = false;
   outcome.wait_seconds = wait_watch.ElapsedSeconds();
   return outcome;
-}
-
-Result<std::optional<BackgroundAllocator::Outcome>>
-BackgroundAllocator::TryCollect() {
-  common::MutexLock lock(mu_);
-  if (!in_flight_) {
-    return Status::FailedPrecondition(
-        "BackgroundAllocator::TryCollect() with no task in flight");
-  }
-  if (!run_done_) return std::optional<Outcome>();
-  // Harvesting a finished run never waits.
-  return std::optional<Outcome>(HarvestLocked());
 }
 
 }  // namespace txallo::engine

@@ -63,16 +63,8 @@ class BackgroundAllocator {
   /// FailedPrecondition when nothing is in flight.
   Result<Outcome> Collect();
 
-  /// Non-blocking Collect(): returns the outcome when Run() has finished,
-  /// nullopt while it is still executing (the task stays in flight — the
-  /// epoch-overrun path of pipeline.cc skips the boundary instead of
-  /// stalling the tick loop). Fails with FailedPrecondition when nothing
-  /// is in flight.
-  Result<std::optional<Outcome>> TryCollect();
-
  private:
   void WorkerMain();
-  Outcome HarvestLocked() TXALLO_REQUIRES(mu_);
 
   mutable common::Mutex mu_;
   common::CondVar cv_worker_;

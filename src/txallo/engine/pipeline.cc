@@ -23,18 +23,15 @@ namespace txallo::engine {
 
 Result<AllocatorMode> ParseAllocatorMode(const std::string& name) {
   if (name == "sync") return AllocatorMode::kDriverSync;
-  if (name == "deferred") return AllocatorMode::kDriverDeferred;
   if (name == "background") return AllocatorMode::kBackground;
   return Status::InvalidArgument("unknown allocator mode '" + name +
-                                 "' (expected sync, deferred or background)");
+                                 "' (expected sync or background)");
 }
 
 const char* AllocatorModeName(AllocatorMode mode) {
   switch (mode) {
     case AllocatorMode::kDriverSync:
       return "sync";
-    case AllocatorMode::kDriverDeferred:
-      return "deferred";
     case AllocatorMode::kBackground:
       return "background";
   }
@@ -102,9 +99,11 @@ class PipelineRun {
   /// block has been reached (block 0 before the first submission, epoch
   /// boundaries after their window's last tick).
   Status ApplyDueInstalls(uint64_t* applied);
-  /// The shared compute-on-the-driver-and-hold step of both deferred
-  /// schedules: one implementation so their timelines cannot drift apart.
-  Status ComputeAndHold(StepMetrics& metrics);
+  /// Rebalance() on the driver, charging its wall time to `metrics` as both
+  /// compute and stall. kDriverSync installs the result at once;
+  /// kBackground's fallback holds it for the next boundary.
+  Status RebalanceOnDriver(StepMetrics& metrics,
+                           std::shared_ptr<const alloc::Allocation>* out);
   /// Engine-delta counters of the window [first_block, last_block) against
   /// the previous snapshot.
   StepMetrics WindowMetrics(const EngineReport& snap, uint64_t first_block,
@@ -112,8 +111,8 @@ class PipelineRun {
   /// The allocator-mode boundary schedule (rebalance / install / launch).
   Status EpochBoundary(StepMetrics& metrics);
   /// Stream exhausted with a background rebalance still in flight: finish
-  /// and commit it so the allocator ends in the same state as the driver
-  /// schedules, but skip the install — no traffic left for it to route.
+  /// and commit it so the allocator ends in the same state as under
+  /// kDriverSync, but skip the install — no traffic left for it to route.
   Status FinishInFlightBackground(StepMetrics& metrics);
   /// Shared per-window close: runs the boundary logic (replay install
   /// application, or the allocator-mode schedule when more traffic
@@ -145,9 +144,9 @@ class PipelineRun {
   // replay — the recorded install stream stands in for the allocator).
   std::unique_ptr<common::FanOut> fan_out_;
   std::optional<BackgroundAllocator> background_;
-  // Mapping computed at the previous boundary, awaiting its deferred
-  // install (kDriverDeferred, and kBackground's fallback when the strategy
-  // cannot snapshot).
+  // Mapping computed on the driver at the previous boundary, awaiting its
+  // next-boundary install (kBackground's fallback when the strategy cannot
+  // snapshot).
   std::shared_ptr<const alloc::Allocation> held_;
   size_t install_cursor_ = 0;
   EngineReport prev_;
@@ -260,14 +259,15 @@ Status PipelineRun::Bootstrap() {
   return Status::OK();
 }
 
-Status PipelineRun::ComputeAndHold(StepMetrics& metrics) {
+Status PipelineRun::RebalanceOnDriver(
+    StepMetrics& metrics, std::shared_ptr<const alloc::Allocation>* out) {
   Stopwatch watch;
   Result<alloc::Allocation> rebalanced = alloc_->Rebalance();
   if (!rebalanced.ok()) return rebalanced.status();
   const double seconds = watch.ElapsedSeconds();
   metrics.alloc_seconds += seconds;
   metrics.alloc_wait_seconds += seconds;
-  held_ = std::make_shared<const alloc::Allocation>(
+  *out = std::make_shared<const alloc::Allocation>(
       std::move(rebalanced.value()));
   return Status::OK();
 }
@@ -303,77 +303,39 @@ Status PipelineRun::EpochBoundary(StepMetrics& metrics) {
   switch (config_.allocator_mode) {
     case AllocatorMode::kDriverSync: {
       ++result_.epochs;
-      Stopwatch watch;
-      Result<alloc::Allocation> rebalanced = alloc_->Rebalance();
-      if (!rebalanced.ok()) return rebalanced.status();
-      const double seconds = watch.ElapsedSeconds();
-      metrics.alloc_seconds = seconds;
-      metrics.alloc_wait_seconds = seconds;
-      TXALLO_RETURN_NOT_OK(Install(std::make_shared<const alloc::Allocation>(
-          std::move(rebalanced.value()))));
+      std::shared_ptr<const alloc::Allocation> next;
+      TXALLO_RETURN_NOT_OK(RebalanceOnDriver(metrics, &next));
+      TXALLO_RETURN_NOT_OK(Install(std::move(next)));
       metrics.installed = true;
       break;
     }
-    case AllocatorMode::kDriverDeferred: {
-      if (held_ != nullptr) {
-        TXALLO_RETURN_NOT_OK(Install(std::move(held_)));
-        held_ = nullptr;
-        metrics.installed = true;
-      }
-      ++result_.epochs;
-      TXALLO_RETURN_NOT_OK(ComputeAndHold(metrics));
-      break;
-    }
     case AllocatorMode::kBackground: {
-      // With allow_epoch_overrun, a Run() still executing at the boundary
-      // skips this update entirely (no Collect stall, no new task — the
-      // in-flight one keeps running) and the mapping lands at the next
-      // boundary it is ready for.
-      bool skipped = false;
+      // Install the previous boundary's mapping — waiting for its task if
+      // it is still running — then start this boundary's update.
       if (background_->busy()) {
-        std::optional<BackgroundAllocator::Outcome> outcome;
-        if (config_.allow_epoch_overrun) {
-          Result<std::optional<BackgroundAllocator::Outcome>> polled =
-              background_->TryCollect();
-          if (!polled.ok()) return polled.status();
-          outcome = std::move(polled.value());
-          if (!outcome.has_value()) {
-            skipped = true;
-            ++result_.overrun_boundaries;
-          }
-        } else {
-          Result<BackgroundAllocator::Outcome> collected =
-              background_->Collect();
-          if (!collected.ok()) return collected.status();
-          outcome = std::move(collected.value());
-        }
-        if (outcome.has_value()) {
-          TXALLO_RETURN_NOT_OK(outcome->task->Commit());
-          if (!outcome->mapping.ok()) return outcome->mapping.status();
-          metrics.alloc_seconds = outcome->run_seconds;
-          metrics.alloc_wait_seconds = outcome->wait_seconds;
-          TXALLO_RETURN_NOT_OK(
-              Install(std::make_shared<const alloc::Allocation>(
-                  std::move(outcome->mapping.value()))));
-          metrics.installed = true;
-        }
+        Result<BackgroundAllocator::Outcome> outcome = background_->Collect();
+        if (!outcome.ok()) return outcome.status();
+        TXALLO_RETURN_NOT_OK(outcome->task->Commit());
+        if (!outcome->mapping.ok()) return outcome->mapping.status();
+        metrics.alloc_seconds = outcome->run_seconds;
+        metrics.alloc_wait_seconds = outcome->wait_seconds;
+        TXALLO_RETURN_NOT_OK(Install(std::make_shared<const alloc::Allocation>(
+            std::move(outcome->mapping.value()))));
+        metrics.installed = true;
       } else if (held_ != nullptr) {
         TXALLO_RETURN_NOT_OK(Install(std::move(held_)));
         held_ = nullptr;
         metrics.installed = true;
       }
-      if (!skipped) {
-        ++result_.epochs;
-        std::unique_ptr<allocator::RebalanceTask> task =
-            alloc_->BeginRebalance();
-        if (task != nullptr) {
-          TXALLO_RETURN_NOT_OK(background_->Launch(std::move(task)));
-        } else {
-          // Strategy cannot snapshot: compute synchronously here, keep the
-          // deferred install schedule so the logical timeline stays
-          // identical (overlap just stays at zero for this strategy).
-          TXALLO_RETURN_NOT_OK(ComputeAndHold(metrics));
-        }
+      ++result_.epochs;
+      std::unique_ptr<allocator::RebalanceTask> task = alloc_->BeginRebalance();
+      if (task != nullptr) {
+        TXALLO_RETURN_NOT_OK(background_->Launch(std::move(task)));
+      } else {
+        // Strategy cannot snapshot: compute synchronously here, keep the
+        // next-boundary install so the logical timeline stays identical
+        // (overlap just stays at zero for this strategy).
+        TXALLO_RETURN_NOT_OK(RebalanceOnDriver(metrics, &held_));
       }
       break;
     }
@@ -412,8 +374,8 @@ Status PipelineRun::CloseWindow(StepMetrics metrics, bool more_traffic) {
   } else if (background_.has_value() && background_->busy()) {
     TXALLO_RETURN_NOT_OK(FinishInFlightBackground(metrics));
   }
-  // (kDriverDeferred's final held mapping is dropped for the same
-  // trailing-skip reason; its compute time was charged when it ran.)
+  // (A final held mapping is dropped for the same trailing-skip reason;
+  // its compute time was charged when it ran.)
 
   result_.alloc_seconds += metrics.alloc_seconds;
   result_.alloc_wait_seconds += metrics.alloc_wait_seconds;
@@ -491,8 +453,7 @@ Status PipelineRun::RunOpenLoop() {
   pool_config.staging_capacity =
       std::max(pool_config.staging_capacity, tick_offer);
   mempool::Mempool pool(pool_config);
-  std::optional<mempool::MempoolCleaner> cleaner;
-  if (config_.open_loop.cleaner) cleaner.emplace(&pool);
+  mempool::MempoolCleaner cleaner(&pool);
   mempool::OfferedLoadGenerator generator(
       ledger_,
       mempool::OfferedLoadConfig{config_.open_loop.offered_load,

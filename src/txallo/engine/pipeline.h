@@ -6,26 +6,26 @@
 // `blocks_per_epoch` blocks its mapping refreshes and the result is
 // published to the engine as a fresh copy-on-write snapshot via
 // InstallAllocation() (a pause-free shared_ptr swap; the engine reports the
-// cost as `realloc_pause_seconds`). Three allocator schedules:
+// cost as `realloc_pause_seconds`). Two allocator schedules:
 //
-//   * kDriverSync      — the classic loop: Rebalance() on the driver at the
-//                        boundary, install immediately. Shards idle for
-//                        `alloc_seconds` each epoch.
-//   * kDriverDeferred  — Rebalance() on the driver at the boundary, install
-//                        at the NEXT boundary. Same stall, but the exact
-//                        logical schedule of kBackground — its determinism
-//                        baseline.
-//   * kBackground      — BeginRebalance() snapshots at the boundary
-//                        (double-buffering: the allocator keeps absorbing
-//                        blocks), Run() executes on a BackgroundAllocator
-//                        worker while the next epoch streams, and the
-//                        result commits + installs at the next boundary.
-//                        Allocation latency is overlapped with execution;
-//                        `alloc_overlap_ratio` reports how much. Install
-//                        points are pinned to logical block boundaries, so
-//                        per-step metrics are deterministic and identical
-//                        to kDriverDeferred at equal inputs (the parity
-//                        tests assert bit-equality).
+//   * kDriverSync  — the classic loop: Rebalance() on the driver at the
+//                    boundary, install immediately. Shards idle for
+//                    `alloc_seconds` each epoch.
+//   * kBackground  — BeginRebalance() snapshots at the boundary
+//                    (double-buffering: the allocator keeps absorbing
+//                    blocks), Run() executes on a BackgroundAllocator
+//                    worker while the next epoch streams, and the result
+//                    commits + installs at the next boundary. Allocation
+//                    latency is overlapped with execution;
+//                    `alloc_overlap_ratio` reports how much. When the
+//                    strategy cannot snapshot (BeginRebalance() returns
+//                    nullptr), Rebalance() runs on the driver at the
+//                    boundary and the mapping is held for the same
+//                    next-boundary install. That driver-only fallback is
+//                    the determinism reference: install points are pinned
+//                    to logical block boundaries, never to allocator wall
+//                    time, so per-step metrics are identical either way
+//                    (the parity tests assert bit-equality).
 //
 // Ingest can fan out too: `ingest_producers >= 2` starts one
 // common::FanOut of that many threads, which slices every block into the
@@ -72,11 +72,10 @@ class ReplayLog;  // engine/replay.h
 /// When and where epoch rebalances run (see file header).
 enum class AllocatorMode {
   kDriverSync,
-  kDriverDeferred,
   kBackground,
 };
 
-/// "sync" | "deferred" | "background" -> AllocatorMode (bench flags).
+/// "sync" | "background" -> AllocatorMode (bench flags).
 Result<AllocatorMode> ParseAllocatorMode(const std::string& name);
 const char* AllocatorModeName(AllocatorMode mode);
 
@@ -107,9 +106,6 @@ struct OpenLoopConfig {
   /// whole tick's offer so every drop decision happens at the
   /// deterministic seal, never in producer timing.
   mempool::MempoolConfig mempool;
-  /// Run a background MempoolCleaner (physical compaction only — outputs
-  /// are identical with it on, off, or racing).
-  bool cleaner = true;
 };
 
 struct PipelineConfig {
@@ -130,15 +126,6 @@ struct PipelineConfig {
   IngestMode ingest_mode = IngestMode::kClosedLoop;
   /// Open-loop driving parameters; ignored unless ingest_mode == kOpenLoop.
   OpenLoopConfig open_loop;
-  /// Multi-epoch allocation lookahead (kBackground only): when a
-  /// RebalanceTask overruns its epoch, skip this boundary — keep ticking —
-  /// and install the mapping at the next boundary it is ready for, instead
-  /// of blocking the tick loop (`alloc_wait_seconds`). Off by default: the
-  /// blocking schedule is the determinism baseline (bit-identical to
-  /// kDriverDeferred); with overrun skipping, install points depend on
-  /// allocator wall time. Recorded runs still replay bit-identically —
-  /// the trace pins the install blocks that actually happened.
-  bool allow_epoch_overrun = false;
   /// Workload spec the ledger was generated from ("name:key=val,..." from
   /// the scenario registry; empty for programmatic ledgers). Purely
   /// descriptive for the run itself, but recorded into the trace meta, and
@@ -150,10 +137,11 @@ struct PipelineConfig {
   /// must be fresh — no prior submissions or ticks).
   ReplayLog* record = nullptr;
   /// When set, re-executes the recorded trace instead of running the
-  /// allocator: `alloc` may be null, blocks_per_epoch and allocator_mode
-  /// come from the log, and threads/ingest_producers are free to differ —
-  /// the run is verified bit-identical to the log (prepare order, 2PC
-  /// outcomes, step series) and diverging returns an Internal error.
+  /// allocator: `alloc` may be null, blocks_per_epoch comes from the log,
+  /// allocator_mode is ignored (no allocator runs; the recorded install
+  /// stream stands in for it), and threads/ingest_producers are free to
+  /// differ — the run is verified bit-identical to the log (prepare order,
+  /// 2PC outcomes, step series) and diverging returns an Internal error.
   const ReplayLog* replay = nullptr;
 };
 
@@ -178,11 +166,12 @@ struct StepMetrics {
   /// cross_shard_submitted / submitted (0 when nothing was submitted).
   double cross_shard_ratio = 0.0;
   /// Allocation wall time charged to this step's boundary update (the
-  /// task's Run time in kBackground; the driver's Rebalance time
-  /// otherwise). 0 for the trailing window.
+  /// background task's Run time, or the driver's Rebalance time). 0 for
+  /// the trailing window.
   double alloc_seconds = 0.0;
   /// How long the driver actually stalled for that update (== alloc_seconds
-  /// in the driver modes; the non-overlapped share in kBackground).
+  /// when it ran on the driver; the non-overlapped share when it ran on
+  /// the background worker).
   double alloc_wait_seconds = 0.0;
   /// A refreshed mapping was published at the end of this window.
   bool installed = false;
@@ -221,21 +210,19 @@ struct PipelineResult {
   /// Wall-clock seconds spent computing allocation updates (the sum of
   /// every rebalance's run time, wherever it ran).
   double alloc_seconds = 0.0;
-  /// Seconds of alloc_seconds the driver actually stalled for. In the
-  /// driver modes this equals alloc_seconds; in kBackground it is the
-  /// residue the next epoch's execution could not cover.
+  /// Seconds of alloc_seconds the driver actually stalled for: all of it
+  /// for updates computed on the driver, the residue the next epoch's
+  /// execution could not cover for background ones.
   double alloc_wait_seconds = 0.0;
   /// 1 - alloc_wait_seconds / alloc_seconds: the fraction of allocation
-  /// latency hidden behind execution. 0 in the driver modes.
+  /// latency hidden behind execution. 0 when every update ran on the
+  /// driver.
   double alloc_overlap_ratio = 0.0;
   /// Accounts whose shard changed across all *installed* reallocations
   /// (the mapping-level migration cost; sim::CompareAllocations). With the
   /// state backend on, report.accounts_migrated counts the records
   /// actually moved between shard DBs.
   uint64_t accounts_moved = 0;
-  /// Epoch boundaries skipped because the rebalance task was still running
-  /// (PipelineConfig::allow_epoch_overrun).
-  uint64_t overrun_boundaries = 0;
   /// Open-loop only: end-of-run admission counters (submitted / admitted /
   /// drop reasons / TTL expiries / peak depth). Default-valued in
   /// closed-loop runs.
@@ -259,10 +246,10 @@ struct PipelineResult {
 ///
 /// Epoch accounting: with W windows there are W-1 boundary rebalances
 /// (`epochs` == W-1) in every mode; the trailing window never gets an
-/// update (nothing left to route). The deferred/background schedules
-/// install each mapping one boundary later, so their last computed mapping
-/// is committed to the allocator but not published (`report.reallocations`
-/// is one lower than kDriverSync's).
+/// update (nothing left to route). kBackground installs each mapping one
+/// boundary later, so its last computed mapping is committed to the
+/// allocator but not published (`report.reallocations` is one lower than
+/// kDriverSync's).
 ///
 /// In kOpenLoop the ledger is a transaction *pool* rather than a block
 /// schedule: arrivals are paced by OpenLoopConfig::offered_load, windows

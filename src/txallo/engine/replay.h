@@ -75,9 +75,9 @@ class ReplayLog {
     /// Ingest mode of the recorded run (IngestMode as u8; 0 = closed loop);
     /// replay re-uses it. The open-loop driving parameters below are
     /// normalized to zero for closed-loop traces, so two closed-loop traces
-    /// always agree regardless of ignored config. Physical-only knobs
-    /// (cleaner on/off, chunk sizes) are deliberately absent — they cannot
-    /// change any recorded byte.
+    /// always agree regardless of ignored config. Physical-only details
+    /// (mempool compaction timing, chunk sizes) are deliberately absent —
+    /// they cannot change any recorded byte.
     uint8_t ingest_mode = 0;
     double offered_load = 0.0;
     uint32_t dispatch_per_tick = 0;
@@ -151,8 +151,8 @@ ReplayLog::Meta RunMeta(const EngineConfig& engine,
 /// The config a replay of a trace with `meta` runs under: `config` with the
 /// trace's epoch cadence, ingest mode and open-loop driving parameters, and
 /// its workload spec when `config` names none. Physical knobs (producers,
-/// threads, the mempool cleaner, chunk sizes) stay the caller's: they
-/// cannot change any recorded byte.
+/// threads, chunk sizes) stay the caller's: they cannot change any
+/// recorded byte.
 PipelineConfig ReplayRunConfig(const ReplayLog::Meta& meta,
                                PipelineConfig config);
 

@@ -1,9 +1,9 @@
 // The background allocation stage: RebalanceTask::Run() on the
 // BackgroundAllocator worker racing live ingest/ticks, and the pipeline's
 // determinism guarantee — kBackground's per-step block-level metrics are
-// bit-identical to kDriverDeferred's (same logical install schedule, the
-// allocation latency just hides behind execution). Runs under TSan via the
-// "engine" label.
+// bit-identical to its driver-only fallback's (same logical install
+// schedule, the allocation latency just hides behind execution). Runs under
+// TSan via the "engine" label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,11 +60,39 @@ Result<engine::PipelineResult> RunOnline(const PipelineFixture& f,
   return engine::RunReallocatedStream(f.ledger, online, &engine, pipeline);
 }
 
+// Forwards the streaming interface but not BeginRebalance(), so kBackground
+// takes its driver-only fallback: Rebalance() on the driver at each
+// boundary, the mapping held for the next one. That fallback is the
+// schedule's determinism reference.
+class DriverOnlyAllocator : public allocator::OnlineAllocator {
+ public:
+  explicit DriverOnlyAllocator(allocator::OnlineAllocator* inner)
+      : OnlineAllocator(inner->Name(), inner->online_params()),
+        inner_(inner) {}
+
+  void ApplyBlock(const chain::Block& block) override {
+    inner_->ApplyBlock(block);
+  }
+  Result<alloc::Allocation> Allocate(
+      const allocator::AllocationContext& context) override {
+    return inner_->Allocate(context);
+  }
+  Result<alloc::Allocation> Rebalance() override {
+    return inner_->Rebalance();
+  }
+  alloc::Allocation CurrentAllocation() const override {
+    return inner_->CurrentAllocation();
+  }
+
+ private:
+  allocator::OnlineAllocator* const inner_;
+};
+
 Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
                                        const std::string& spec,
                                        engine::AllocatorMode mode,
                                        uint32_t producers = 0,
-                                       uint32_t epoch_blocks = 8) {
+                                       bool driver_only = false) {
   allocator::AllocatorOptions options;
   options.params = alloc::AllocationParams::ForExperiment(
       f.ledger.num_transactions(), 4, 2.0);
@@ -75,7 +103,9 @@ Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
   if (online == nullptr) {
     return Status::InvalidArgument(spec + " is one-shot only");
   }
-  return RunOnline(f, online, mode, producers, epoch_blocks);
+  DriverOnlyAllocator wrapped(online);
+  return RunOnline(f, driver_only ? &wrapped : online, mode, producers,
+                   /*epoch_blocks=*/8);
 }
 
 // An online allocator (id mod k over the accounts seen so far) whose
@@ -292,29 +322,29 @@ TEST(BackgroundPipelineTest, BackgroundMatchesDeferredStepForStep) {
   for (const std::string spec :
        {"txallo-hybrid:global-every=3", "metis", "contrib"}) {
     SCOPED_TRACE(spec);
-    auto deferred =
-        RunMode(f, spec, engine::AllocatorMode::kDriverDeferred);
+    auto driver_only = RunMode(f, spec, engine::AllocatorMode::kBackground,
+                               /*producers=*/0, /*driver_only=*/true);
     auto background = RunMode(f, spec, engine::AllocatorMode::kBackground);
-    ASSERT_TRUE(deferred.ok()) << deferred.status().ToString();
+    ASSERT_TRUE(driver_only.ok()) << driver_only.status().ToString();
     ASSERT_TRUE(background.ok()) << background.status().ToString();
-    ExpectStepsIdentical(*deferred, *background);
-    EXPECT_EQ(background->epochs, deferred->epochs);
-    EXPECT_EQ(background->accounts_moved, deferred->accounts_moved);
+    ExpectStepsIdentical(*driver_only, *background);
+    EXPECT_EQ(background->epochs, driver_only->epochs);
+    EXPECT_EQ(background->accounts_moved, driver_only->accounts_moved);
     EXPECT_EQ(background->report.sim.submitted,
-              deferred->report.sim.submitted);
+              driver_only->report.sim.submitted);
     EXPECT_EQ(background->report.sim.committed,
-              deferred->report.sim.committed);
+              driver_only->report.sim.committed);
     EXPECT_EQ(background->report.sim.cross_shard_submitted,
-              deferred->report.sim.cross_shard_submitted);
+              driver_only->report.sim.cross_shard_submitted);
     EXPECT_EQ(background->report.sim.blocks_elapsed,
-              deferred->report.sim.blocks_elapsed);
+              driver_only->report.sim.blocks_elapsed);
     EXPECT_DOUBLE_EQ(background->report.sim.avg_latency_blocks,
-                     deferred->report.sim.avg_latency_blocks);
+                     driver_only->report.sim.avg_latency_blocks);
     EXPECT_EQ(background->report.reallocations,
-              deferred->report.reallocations);
-    // The deferred driver stalls for every rebalance; background hides the
-    // latency (wait <= compute, never more).
-    EXPECT_DOUBLE_EQ(deferred->alloc_overlap_ratio, 0.0);
+              driver_only->report.reallocations);
+    // The driver-only fallback stalls for every rebalance; the worker hides
+    // the latency (wait <= compute, never more).
+    EXPECT_DOUBLE_EQ(driver_only->alloc_overlap_ratio, 0.0);
     EXPECT_GE(background->alloc_overlap_ratio, 0.0);
     EXPECT_LE(background->alloc_overlap_ratio, 1.0);
   }
@@ -330,8 +360,11 @@ TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
   auto result = RunOnline(f, &latched, engine::AllocatorMode::kBackground,
                           /*producers=*/0, /*epoch_blocks=*/6);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE(result->epochs, 5u);
+  EXPECT_EQ(result->epochs, 9u);  // 10 windows of 6 blocks.
+  // Every boundary waited for its task: each Run() was latched and
+  // collected, none skipped or left in flight.
   EXPECT_EQ(latched.latched_runs(), result->epochs);
+  EXPECT_EQ(result->report.sim.committed, f.ledger.num_transactions());
   EXPECT_GT(result->alloc_seconds, 0.0);
   EXPECT_GT(result->alloc_overlap_ratio, 0.0);
 }
@@ -359,24 +392,24 @@ TEST(BackgroundPipelineTest, BackgroundRebalanceDuringParallelIngest) {
 TEST(BackgroundPipelineTest, DeferredInstallScheduleIsOneBoundaryLate) {
   const PipelineFixture f = MakeFixture();
   auto sync = RunMode(f, "metis", engine::AllocatorMode::kDriverSync);
-  auto deferred = RunMode(f, "metis", engine::AllocatorMode::kDriverDeferred);
-  ASSERT_TRUE(sync.ok() && deferred.ok());
+  auto background = RunMode(f, "metis", engine::AllocatorMode::kBackground);
+  ASSERT_TRUE(sync.ok() && background.ok());
   // 6 windows: 5 boundary rebalances in both schedules.
   EXPECT_EQ(sync->epochs, 5u);
-  EXPECT_EQ(deferred->epochs, 5u);
-  // Sync installs at every boundary (plus the initial snapshot); deferred
+  EXPECT_EQ(background->epochs, 5u);
+  // Sync installs at every boundary (plus the initial snapshot); background
   // publishes one boundary later, so its last mapping never installs.
   EXPECT_EQ(sync->report.reallocations, 6u);
-  EXPECT_EQ(deferred->report.reallocations, 5u);
+  EXPECT_EQ(background->report.reallocations, 5u);
   // 6 ledger windows, plus a trailing drain step when pending commit
   // rounds spill past the stream (both schedules drain identically).
   ASSERT_GE(sync->steps.size(), 6u);
-  ASSERT_EQ(sync->steps.size(), deferred->steps.size());
+  ASSERT_EQ(sync->steps.size(), background->steps.size());
   EXPECT_TRUE(sync->steps[0].installed);
-  EXPECT_FALSE(deferred->steps[0].installed);  // Nothing held yet.
-  EXPECT_TRUE(deferred->steps[1].installed);
+  EXPECT_FALSE(background->steps[0].installed);  // Nothing held yet.
+  EXPECT_TRUE(background->steps[1].installed);
   EXPECT_FALSE(sync->steps[5].installed);      // Trailing window: no update.
-  EXPECT_FALSE(deferred->steps[5].installed);
+  EXPECT_FALSE(background->steps[5].installed);
   for (size_t i = 6; i < sync->steps.size(); ++i) {
     EXPECT_EQ(sync->steps[i].submitted, 0u);   // Drain: commits only.
     EXPECT_FALSE(sync->steps[i].installed);

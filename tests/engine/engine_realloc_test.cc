@@ -140,10 +140,41 @@ TEST(EngineReallocTest, HybridAllocatorPipelineReallocatesPerEpoch) {
   EXPECT_EQ(result->report.sim.submitted, ledger.num_transactions());
   EXPECT_EQ(result->report.sim.committed, ledger.num_transactions());
   EXPECT_GT(result->accounts_moved, 0u);
-  EXPECT_GT(result->alloc_seconds, 0.0);
+  // Sync installs at every boundary; the trailing window gets no update.
+  ASSERT_GE(result->steps.size(), 6u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(result->steps[i].installed) << "step " << i;
+  }
+  EXPECT_FALSE(result->steps[5].installed);
+  // The run total is the in-order sum of the per-step charges, exactly.
+  double step_alloc_seconds = 0.0;
+  for (const engine::StepMetrics& step : result->steps) {
+    step_alloc_seconds += step.alloc_seconds;
+  }
+  EXPECT_EQ(result->alloc_seconds, step_alloc_seconds);
   // The learned mapping should beat pure hash routing on cross-shard share.
   EXPECT_LT(result->report.sim.cross_shard_submitted,
             result->report.sim.submitted);
+}
+
+TEST(EngineReallocTest, ParseAllocatorModeAcceptsExactlyTwoSchedules) {
+  using engine::AllocatorMode;
+  for (const AllocatorMode mode :
+       {AllocatorMode::kDriverSync, AllocatorMode::kBackground}) {
+    auto parsed = engine::ParseAllocatorMode(engine::AllocatorModeName(mode));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, mode);
+  }
+  EXPECT_STREQ(engine::AllocatorModeName(AllocatorMode::kDriverSync), "sync");
+  EXPECT_STREQ(engine::AllocatorModeName(AllocatorMode::kBackground),
+               "background");
+  // "deferred" names no schedule: a usage error, not an alias.
+  auto deferred = engine::ParseAllocatorMode("deferred");
+  ASSERT_FALSE(deferred.ok());
+  EXPECT_EQ(deferred.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = deferred.status().message();
+  EXPECT_NE(message.find("sync"), std::string::npos) << message;
+  EXPECT_NE(message.find("background"), std::string::npos) << message;
 }
 
 TEST(EngineReallocTest, PipelineRejectsZeroEpoch) {

@@ -1,11 +1,10 @@
-// Multi-epoch allocation lookahead (PipelineConfig::allow_epoch_overrun):
-// a RebalanceTask that overruns its epoch must not block the tick loop —
-// the boundary is skipped (counted in PipelineResult::overrun_boundaries)
-// and the mapping installs at the next boundary it is ready for. The
-// default schedule still blocks, bit-compatible with kDriverDeferred.
+// The background schedule never skips a boundary: a RebalanceTask that
+// overruns its epoch makes the tick loop wait for it, so install blocks
+// depend only on block boundaries, never on how long the allocator ran.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -50,13 +49,17 @@ class SlowAllocator : public allocator::OnlineAllocator {
     const uint64_t frozen = num_accounts_;
     const uint64_t sleep_ms = sleep_ms_;
     const uint32_t shards = params_.num_shards;
+    std::atomic<uint64_t>* runs = &background_runs_;
     return std::make_unique<allocator::ClosureRebalanceTask>(
-        [frozen, sleep_ms, shards]() -> Result<alloc::Allocation> {
+        [frozen, sleep_ms, shards, runs]() -> Result<alloc::Allocation> {
           std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+          runs->fetch_add(1);
           return MappingFor(frozen, shards);
         },
         [](const Result<alloc::Allocation>&) { return Status(); });
   }
+
+  uint64_t background_runs() const { return background_runs_.load(); }
 
  private:
   static Result<alloc::Allocation> MappingFor(uint64_t accounts,
@@ -70,14 +73,10 @@ class SlowAllocator : public allocator::OnlineAllocator {
   }
   const uint64_t sleep_ms_;
   uint64_t num_accounts_ = 0;
+  std::atomic<uint64_t> background_runs_{0};
 };
 
-struct Outcome {
-  PipelineResult result;
-  uint64_t total_txs = 0;
-};
-
-Outcome RunWithSlowAllocator(bool allow_overrun, uint64_t sleep_ms) {
+TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
   workload::EthereumLikeConfig workload;
   workload.num_blocks = 40;
   workload.txs_per_block = 30;
@@ -91,7 +90,7 @@ Outcome RunWithSlowAllocator(bool allow_overrun, uint64_t sleep_ms) {
   SlowAllocator slow(
       alloc::AllocationParams::ForExperiment(ledger.num_transactions(), k,
                                              2.0),
-      sleep_ms);
+      /*sleep_ms=*/20);
 
   EngineConfig config;
   config.num_shards = k;
@@ -104,46 +103,15 @@ Outcome RunWithSlowAllocator(bool allow_overrun, uint64_t sleep_ms) {
   PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 8;  // 5 windows -> 4 boundary rebalances.
   pipeline.allocator_mode = AllocatorMode::kBackground;
-  pipeline.allow_epoch_overrun = allow_overrun;
   auto result = RunReallocatedStream(ledger, &slow, &engine, pipeline);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return {*result, ledger.num_transactions()};
-}
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-TEST(PipelineOverrunTest, OverrunningTaskSkipsBoundariesInsteadOfBlocking) {
-  const Outcome run = RunWithSlowAllocator(/*allow_overrun=*/true,
-                                       /*sleep_ms=*/150);
-  // The first boundary launches the task; the remaining boundaries arrive
-  // while it still sleeps and must be skipped, not waited for.
-  EXPECT_GE(run.result.overrun_boundaries, 1u);
-  // Every boundary is accounted for exactly once: launched or skipped.
-  EXPECT_EQ(run.result.epochs + run.result.overrun_boundaries, 4u);
-  EXPECT_GE(run.result.epochs, 1u);
-  // Skipping never drops work: the stream still drains completely.
-  EXPECT_EQ(run.result.report.sim.committed, run.total_txs);
-  // The final drain harvests the in-flight task, so the overrun schedule
-  // still publishes at least the bootstrap mapping.
-  EXPECT_GE(run.result.report.reallocations, 1u);
-}
-
-TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
-  const Outcome run = RunWithSlowAllocator(/*allow_overrun=*/false,
-                                       /*sleep_ms=*/20);
-  EXPECT_EQ(run.result.overrun_boundaries, 0u);
-  EXPECT_EQ(run.result.epochs, 4u);
-  EXPECT_EQ(run.result.report.sim.committed, run.total_txs);
-  // Blocking waits show up as allocation stall, the cost overrun skipping
-  // exists to avoid.
-  EXPECT_GT(run.result.alloc_wait_seconds, 0.0);
-}
-
-TEST(PipelineOverrunTest, FastTaskNeverTriggersOverruns) {
-  // With no sleep the task finishes within its epoch; the overrun knob
-  // must then change nothing about the schedule.
-  const Outcome run = RunWithSlowAllocator(/*allow_overrun=*/true,
-                                       /*sleep_ms=*/0);
-  EXPECT_EQ(run.result.epochs + run.result.overrun_boundaries, 4u);
-  EXPECT_EQ(run.result.report.sim.committed, run.total_txs);
+  // No boundary is skipped: every one launches a task and waits for it.
+  EXPECT_EQ(result->epochs, 4u);
+  EXPECT_EQ(slow.background_runs(), result->epochs);
+  EXPECT_EQ(result->report.sim.committed, ledger.num_transactions());
+  // Blocking waits show up as allocation stall.
+  EXPECT_GT(result->alloc_wait_seconds, 0.0);
 }
 
 }  // namespace

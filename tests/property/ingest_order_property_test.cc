@@ -71,8 +71,9 @@ Result<engine::PipelineResult> RunShape(const TrialShape& shape,
   engine::ParallelEngine engine(config, nullptr);
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = shape.epoch_blocks;
-  // Deferred: the deterministic driver-side schedule both runs share.
-  pipeline.allocator_mode = engine::AllocatorMode::kDriverDeferred;
+  // Background: the next-boundary install schedule both runs share, with
+  // the rebalance racing ingest on its worker.
+  pipeline.allocator_mode = engine::AllocatorMode::kBackground;
   pipeline.ingest_producers = producers;
   pipeline.record = record;
   return engine::RunReallocatedStream(ledger, (*made)->AsOnline(), &engine,

@@ -42,7 +42,7 @@ Result<engine::PipelineResult> RunScenario(const chain::Ledger& ledger,
   engine::ParallelEngine engine(config, nullptr);
   engine::PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 4;
-  pipeline.allocator_mode = engine::AllocatorMode::kDriverDeferred;
+  pipeline.allocator_mode = engine::AllocatorMode::kBackground;
   pipeline.ingest_producers = producers;
   pipeline.record = record;
   return engine::RunReallocatedStream(ledger, (*made)->AsOnline(), &engine,
