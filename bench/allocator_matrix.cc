@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       engine::ParseAllocatorMode(flags.GetString("alloc-mode", "sync"));
   if (!alloc_mode.ok()) {
     std::fprintf(stderr, "%s\n", alloc_mode.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   const uint32_t producers =
       static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       if (!made.ok()) {
         std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
                      made.status().ToString().c_str());
-        return 1;
+        return 2;
       }
       allocator::OnlineAllocator* online = (*made)->AsOnline();
       if (online == nullptr) {

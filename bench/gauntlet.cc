@@ -127,13 +127,13 @@ int main(int argc, char** argv) {
   Result<double> offered = bench::ResolveOfferedLoad(flags, 100.0);
   if (!offered.ok()) {
     std::fprintf(stderr, "%s\n", offered.status().ToString().c_str());
-    return 1;
+    return 2;
   }
 
   const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
   if (!trace.record_path.empty() && !trace.replay_path.empty()) {
     std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
+    return 2;
   }
 
   // Default grid: the full registries. ';'-separated because both spec
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
       if (!made.ok()) {
         std::fprintf(stderr, "allocator '%s': %s\n", method_spec.c_str(),
                      made.status().ToString().c_str());
-        return 1;
+        return 2;
       }
       allocator::OnlineAllocator* online = (*made)->AsOnline();
       if (online == nullptr) {

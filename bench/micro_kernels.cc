@@ -1,7 +1,7 @@
 // google-benchmark micro-kernels for the hot paths: SHA-256, Zipf
 // sampling, transaction-graph construction, CSR snapshot, Louvain, one
-// optimization sweep, the gain kernel, metric evaluation, and the Shard
-// Scheduler's per-transaction cost.
+// optimization sweep, G-TxAllo to convergence, the gain kernel, metric
+// evaluation, and the Shard Scheduler's per-transaction cost.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -172,6 +172,28 @@ void BM_OptimizeSweep(benchmark::State& state) {
                           static_cast<int64_t>(g.num_nodes()));
 }
 BENCHMARK(BM_OptimizeSweep)->Arg(8)->Arg(60);
+
+// G-TxAllo end to end (Louvain, absorption, sweeps to convergence). Unlike
+// BM_OptimizeSweep's single sweep from a hash start, later sweeps here skip
+// settled nodes, so the evaluated/skipped counters show the boundary-only
+// saving.
+void BM_GlobalTxAllo(benchmark::State& state) {
+  const graph::TransactionGraph& g = SharedGraph();
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  alloc::AllocationParams params = alloc::AllocationParams::ForExperiment(
+      SharedLedger().num_transactions(), k, 4.0);
+  std::vector<graph::NodeId> order(g.num_nodes());
+  std::iota(order.begin(), order.end(), 0);
+  core::GlobalRunInfo info;
+  for (auto _ : state) {
+    auto allocation = core::RunGlobalTxAllo(g, order, params, {}, &info);
+    benchmark::DoNotOptimize(allocation);
+  }
+  state.counters["sweeps"] = info.sweeps;
+  state.counters["evaluated"] = static_cast<double>(info.sweep_evaluations);
+  state.counters["skipped"] = static_cast<double>(info.sweep_skips);
+}
+BENCHMARK(BM_GlobalTxAllo)->Arg(60)->Unit(benchmark::kMillisecond);
 
 // Builds a graph with ~`frozen_edges` frozen into the CSR core, then a
 // fixed 1024-edge consolidated delta overlaying it. Snapshot cost must

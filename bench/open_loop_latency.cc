@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   } else if (policy != "reject") {
     std::fprintf(stderr, "--policy=%s: expected reject or block\n",
                  policy.c_str());
-    return 1;
+    return 2;
   }
 
   // Offered loads: a single --offered-load / TXALLO_OFFERED_LOAD overrides
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   Result<double> single = bench::ResolveOfferedLoad(flags, 0.0);
   if (!single.ok()) {
     std::fprintf(stderr, "%s\n", single.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   std::vector<double> loads;
   if (*single > 0.0) {
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                      "--loads: '%s' is not a positive transactions-per-tick "
                      "rate\n",
                      clause.c_str());
-        return 1;
+        return 2;
       }
       loads.push_back(load);
     }
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
   if (!trace.record_path.empty() && !trace.replay_path.empty()) {
     std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
+    return 2;
   }
 
   std::vector<std::string> specs = bench::ResolveMethodSpecs(
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
       if (!made.ok()) {
         std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
                      made.status().ToString().c_str());
-        return 1;
+        return 2;
       }
       allocator::OnlineAllocator* online = (*made)->AsOnline();
       if (online == nullptr) {

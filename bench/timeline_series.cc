@@ -76,13 +76,13 @@ int main(int argc, char** argv) {
       flags.GetString("alloc-mode", "background"));
   if (!mode.ok()) {
     std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-    return 1;
+    return 2;
   }
 
   const bench::TraceFlags trace = bench::ResolveTraceFlags(flags);
   if (!trace.record_path.empty() && !trace.replay_path.empty()) {
     std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
-    return 1;
+    return 2;
   }
 
   std::vector<std::string> specs = bench::ResolveMethodSpecs(
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     if (!made.ok()) {
       std::fprintf(stderr, "allocator '%s': %s\n", spec.c_str(),
                    made.status().ToString().c_str());
-      return 1;
+      return 2;
     }
     allocator::OnlineAllocator* online = (*made)->AsOnline();
     if (online == nullptr) {

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       engine::ParseAllocatorMode(flags.GetString("alloc-mode", "background"));
   if (!alloc_mode.ok()) {
     std::fprintf(stderr, "%s\n", alloc_mode.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   const uint32_t producers =
       static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
@@ -82,14 +82,14 @@ int main(int argc, char** argv) {
   auto made = allocator::MakeAllocatorFromSpec(spec, options);
   if (!made.ok()) {
     std::fprintf(stderr, "allocator: %s\n", made.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   allocator::OnlineAllocator* learner = (*made)->AsOnline();
   if (learner == nullptr) {
     std::fprintf(stderr, "allocator '%s' is one-shot only; pick an online "
                  "strategy\n",
                  spec.c_str());
-    return 1;
+    return 2;
   }
   for (const chain::Block& block : history.blocks()) {
     learner->ApplyBlock(block);

@@ -35,8 +35,11 @@ Status RunAdaptiveTxAllo(const graph::TransactionGraph& graph,
   AssignUnassignedNodes(graph, touched_nodes, params, allocation, state);
 
   // Lines 9-17: optimization sweeps restricted to V̂.
-  local.sweeps = OptimizeSweeps(graph, touched_nodes, params, options,
-                                allocation, state);
+  const SweepStats stats = OptimizeSweeps(graph, touched_nodes, params,
+                                          options, allocation, state);
+  local.sweeps = stats.sweeps;
+  local.sweep_evaluations = stats.evaluations;
+  local.sweep_skips = stats.skips;
 
   local.final_throughput = state->TotalThroughput();
   local.total_seconds = watch.ElapsedSeconds();

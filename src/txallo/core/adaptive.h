@@ -27,6 +27,8 @@ namespace txallo::core {
 struct AdaptiveRunInfo {
   double total_seconds = 0.0;
   int sweeps = 0;
+  uint64_t sweep_evaluations = 0;  // See SweepStats.
+  uint64_t sweep_skips = 0;
   size_t touched_nodes = 0;   // |V̂|
   size_t new_nodes = 0;       // Nodes unseen by the previous allocation.
   double final_throughput = 0.0;

@@ -48,17 +48,19 @@ class WeightToCommunity {
   /// Fills gains_[q] = join gain of the accumulated node into q. When the
   /// candidate set is dense — or the caller needs all k — one batched pass
   /// over the contiguous σ/Λ̂ arrays; otherwise scalar JoinDelta per
-  /// touched community. Both paths produce bit-identical gains (the batch
-  /// kernel replays the scalar expression tree), so the density heuristic
-  /// affects speed only, never the selected shard. Untouched entries are
-  /// stale in sparse mode; callers only read q's they asked for.
+  /// touched community other than `home` (the node's own shard, whose join
+  /// gain no caller reads). Both paths produce bit-identical gains (the
+  /// batch kernel replays the scalar expression tree), so the density
+  /// heuristic affects speed only, never the selected shard. Untouched
+  /// entries are stale in sparse mode; callers only read q's they asked for.
   void ComputeJoinGains(const CommunityState& state, const NodeProfile& node,
-                        bool need_all) {
+                        bool need_all, ShardId home = kUnassignedShard) {
     if (need_all || touched_.size() * 4 >= num_communities_) {
       JoinGainBatch(state, node, weight_.data(), num_communities_,
                     gains_.data());
     } else {
       for (ShardId q : touched_) {
+        if (q == home) continue;
         gains_[q] = JoinDelta(state, q, node, weight_[q]).throughput_gain;
       }
     }
@@ -170,25 +172,37 @@ void AssignUnassignedNodes(const TransactionGraph& graph,
   }
 }
 
-int OptimizeSweeps(const TransactionGraph& graph,
-                   const std::vector<NodeId>& sweep_nodes,
-                   const AllocationParams& params,
-                   const GlobalOptions& options, Allocation* allocation,
-                   CommunityState* state) {
+SweepStats OptimizeSweeps(const TransactionGraph& graph,
+                          const std::vector<NodeId>& sweep_nodes,
+                          const AllocationParams& params,
+                          const GlobalOptions& options, Allocation* allocation,
+                          CommunityState* state) {
   WeightToCommunity scratch(params.num_shards);
-  int sweeps = 0;
-  for (; sweeps < options.max_sweeps; ++sweeps) {
+  // settled[v] = 1 once v was scored with every assigned neighbor in its own
+  // shard p: its Eq. 9 candidate set holds no q != p, so it cannot move
+  // until a neighbor changes shard, and that move clears the flag.
+  // Sized for any assigned sweep node and any neighbor.
+  std::vector<uint8_t> settled(
+      std::max(graph.num_nodes(), allocation->num_accounts()), 0);
+  SweepStats stats;
+  for (; stats.sweeps < options.max_sweeps; ++stats.sweeps) {
     double sweep_gain = 0.0;
     for (NodeId v : sweep_nodes) {
       const ShardId p = allocation->shard_of(v);
-      if (p == kUnassignedShard) continue;  // Defensive; phase 1 assigns all.
+      // Unassigned is defensive: phase 1 assigns every node.
+      if (p == kUnassignedShard || settled[v] != 0) {
+        ++stats.skips;
+        continue;
+      }
+      ++stats.evaluations;
       NodeProfile node{graph.SelfLoop(v), graph.Strength(v)};
       scratch.Accumulate(graph, v, *allocation);
 
       const double w_to_p = scratch.WeightTo(p);
       const CommunityDelta leave = LeaveDelta(*state, p, node, w_to_p);
       scratch.ComputeJoinGains(*state, node,
-                               /*need_all=*/options.search_all_communities);
+                               /*need_all=*/options.search_all_communities,
+                               /*home=*/p);
 
       ShardId best = p;
       double best_gain = 0.0;
@@ -204,8 +218,10 @@ int OptimizeSweeps(const TransactionGraph& graph,
           }
         }
       } else {
+        bool has_candidate = false;
         for (ShardId q : scratch.touched()) {
           if (q == p) continue;
+          has_candidate = true;
           const double gain = leave.throughput_gain + scratch.Gain(q);
           if (gain > best_gain + 1e-15) {
             best = q;
@@ -214,21 +230,25 @@ int OptimizeSweeps(const TransactionGraph& graph,
             best = q;
           }
         }
+        if (!has_candidate) settled[v] = 1;
       }
       if (best != p && best_gain > 0.0) {
         ApplyLeave(state, p, node, w_to_p);
         ApplyJoin(state, best, node, scratch.WeightTo(best));
         allocation->Assign(v, best);
         sweep_gain += best_gain;
+        for (const graph::Neighbor& nb : graph.Neighbors(v)) {
+          settled[nb.node] = 0;
+        }
       }
       scratch.Reset();
     }
     if (sweep_gain < params.epsilon) {
-      ++sweeps;
+      ++stats.sweeps;
       break;
     }
   }
-  return sweeps;
+  return stats;
 }
 
 Result<Allocation> RunGlobalTxAllo(const TransactionGraph& graph,
@@ -279,8 +299,11 @@ Result<Allocation> RunGlobalTxAllo(const TransactionGraph& graph,
 
   {
     Stopwatch watch;
-    local_info.sweeps = OptimizeSweeps(graph, node_order, params, options,
-                                       &allocation, &state);
+    const SweepStats stats = OptimizeSweeps(graph, node_order, params,
+                                            options, &allocation, &state);
+    local_info.sweeps = stats.sweeps;
+    local_info.sweep_evaluations = stats.evaluations;
+    local_info.sweep_skips = stats.skips;
     local_info.optimize_seconds = watch.ElapsedSeconds();
   }
   local_info.final_throughput = state.TotalThroughput();

@@ -10,8 +10,10 @@
 // each to the candidate community C_v (Eq. 9) with the largest positive
 // Δ(i,p,q)Λ (Eq. 8); repeat sweeps while the accumulated gain ≥ ε.
 //
-// Complexity: O(N log N) initialization + O(N·k) per optimization sweep.
-// Every step is deterministic given the node order (paper §V-B).
+// Complexity: O(N log N) initialization; optimization is O(N+E) for the
+// first sweep, then O(boundary nodes' degree + moves' degree) per sweep
+// (see OptimizeSweeps). Every step is deterministic given the node order
+// (paper §V-B).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +51,8 @@ struct GlobalRunInfo {
   double total_seconds = 0.0;
   uint32_t louvain_communities = 0;
   int sweeps = 0;
+  uint64_t sweep_evaluations = 0;  // See SweepStats.
+  uint64_t sweep_skips = 0;
   double initial_throughput = 0.0;  // After phase 1.
   double final_throughput = 0.0;    // After convergence.
 };
@@ -75,14 +79,32 @@ void AssignUnassignedNodes(const graph::TransactionGraph& graph,
                            alloc::Allocation* allocation,
                            alloc::CommunityState* state);
 
+/// Logical work counters of one OptimizeSweeps call. Every sweep visits
+/// every sweep node once, so evaluations + skips == sweeps · |sweep_nodes|.
+struct SweepStats {
+  int sweeps = 0;
+  /// Visits that scored the node's candidate communities.
+  uint64_t evaluations = 0;
+  /// Visits skipped because the node cannot move (or is unassigned).
+  uint64_t skips = 0;
+};
+
 /// The phase-2 optimization loop, exposed separately because A-TxAllo and
 /// the ablations reuse it. Sweeps `sweep_nodes` (in order) until the total
 /// gain of a sweep is < ε or `max_sweeps` is hit. `allocation` and `state`
-/// are updated in place. Returns the number of sweeps executed.
-int OptimizeSweeps(const graph::TransactionGraph& graph,
-                   const std::vector<graph::NodeId>& sweep_nodes,
-                   const alloc::AllocationParams& params,
-                   const GlobalOptions& options, alloc::Allocation* allocation,
-                   alloc::CommunityState* state);
+/// are updated in place.
+///
+/// Boundary-only: a node whose assigned neighbors all sit in its own shard
+/// has an empty Eq. 9 candidate set, so it is marked settled and skipped
+/// until one of its neighbors moves. Skipping it never changes a move, a
+/// σ/Λ̂ bit or the sweep count, so after an O(N+E) first sweep each sweep
+/// costs O(boundary nodes' degree + moves' degree). With
+/// `search_all_communities` every node is scored in every sweep.
+SweepStats OptimizeSweeps(const graph::TransactionGraph& graph,
+                          const std::vector<graph::NodeId>& sweep_nodes,
+                          const alloc::AllocationParams& params,
+                          const GlobalOptions& options,
+                          alloc::Allocation* allocation,
+                          alloc::CommunityState* state);
 
 }  // namespace txallo::core

@@ -46,6 +46,8 @@ TEST(AdaptiveTxAlloTest, NewNodeJoinsItsNeighborsCommunity) {
   EXPECT_EQ(a.shard_of(4), 1u);
   EXPECT_EQ(info.new_nodes, 1u);
   EXPECT_EQ(info.touched_nodes, 1u);
+  EXPECT_EQ(info.sweep_evaluations + info.sweep_skips,
+            static_cast<uint64_t>(info.sweeps) * info.touched_nodes);
 }
 
 TEST(AdaptiveTxAlloTest, DisconnectedNewNodeFallsBackToAllCommunities) {
