@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   bench::BenchScale scale = bench::ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  bench::Fixture fixture(scale, seed);
-  bench::PrintRunBanner("Ablations: TxAllo design choices", scale, fixture,
-                        seed);
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 20));
   const double eta = flags.GetDouble("eta", 4.0);
   const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
+  bench::Fixture fixture(scale, seed);
+  bench::PrintRunBanner("Ablations: TxAllo design choices", scale, fixture,
+                        seed);
 
   // --- A: candidate set restriction. ---
   {

@@ -37,6 +37,9 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("blocks-per-window", 60));
   const double decay = flags.GetDouble("decay", 0.5);
   const int fresh_windows = static_cast<int>(flags.GetInt("fresh", 2));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 9));
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   std::printf("==============================================================\n");
   std::printf("Extension: history policies on a drifting workload "
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
                                               blocks_per_window);
     config.num_accounts = 16'000;
     config.num_communities = 100;
-    config.seed = static_cast<uint64_t>(flags.GetInt("seed", 9));
+    config.seed = seed;
     if (drift) {
       config.drift_interval_blocks = blocks_per_window;
       config.drift_fraction = 0.25;
@@ -141,9 +144,8 @@ int main(int argc, char** argv) {
                                scores[policy].windows)});
     }
     table.Print();
-    table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                   drift ? "ablation_decay_drift_on.csv"
-                         : "ablation_decay_drift_off.csv");
+    table.WriteCsv(csv_dir, drift ? "ablation_decay_drift_on.csv"
+                                  : "ablation_decay_drift_off.csv");
   }
   return 0;
 }

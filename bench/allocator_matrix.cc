@@ -51,6 +51,8 @@ int main(int argc, char** argv) {
   } else {
     specs = allocator::RegisteredNames();
   }
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner("Allocator matrix: every registered strategy, "
@@ -158,7 +160,6 @@ int main(int argc, char** argv) {
   }
   live.Print();
 
-  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
   oneshot.WriteCsv(csv_dir, "allocator_matrix_oneshot.csv");
   live.WriteCsv(csv_dir, "allocator_matrix_engine.csv");
   std::printf(

@@ -16,14 +16,16 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   bench::BenchScale scale = bench::ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  bench::Fixture fixture(scale, seed);
-  bench::PrintRunBanner(
-      "Extension: TxAllo vs BrokerChain-style METIS+brokers", scale, fixture,
-      seed);
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 20));
   const double eta = flags.GetDouble("eta", 4.0);
   const uint32_t num_brokers =
       static_cast<uint32_t>(flags.GetInt("brokers", 16));
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
+  bench::Fixture fixture(scale, seed);
+  bench::PrintRunBanner(
+      "Extension: TxAllo vs BrokerChain-style METIS+brokers", scale, fixture,
+      seed);
 
   alloc::AllocationParams params = fixture.ParamsFor(k, eta);
   auto txallo_alloc = core::RunGlobalTxAllo(fixture.graph(),
@@ -68,8 +70,7 @@ int main(int argc, char** argv) {
           baselines::EvaluateWithBrokers(txs, *txallo_alloc, params, brokers,
                                          broker_options));
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "brokerchain_comparison.csv");
+  table.WriteCsv(csv_dir, "brokerchain_comparison.csv");
   std::printf(
       "\n(*) gamma counts transactions that still span multiple shards "
       "after broker wildcarding.\nBrokered rows price those at "

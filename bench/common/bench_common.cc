@@ -495,14 +495,16 @@ int RunStandardSweepFigure(int argc, char** argv, const char* figure_title,
   if (HandleAllocatorHelp(flags)) return 0;
   BenchScale scale = ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  Fixture fixture(scale, seed);
-  PrintRunBanner(figure_title, scale, fixture, seed);
-  std::printf("%s\n", paper_note);
-  SweepCache cache(&fixture, scale, seed, !flags.GetBool("no-cache", false),
-                   ResolveCacheDir(flags));
+  const bool use_cache = !flags.GetBool("no-cache", false);
+  const std::string cache_dir = ResolveCacheDir(flags);
   SweepGrid grid = ResolveGrid(flags, scale);
   const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
   const std::vector<std::string> methods = ResolveMethodSpecs(flags);
+  flags.ExitOnUnknownFlags();
+  Fixture fixture(scale, seed);
+  PrintRunBanner(figure_title, scale, fixture, seed);
+  std::printf("%s\n", paper_note);
+  SweepCache cache(&fixture, scale, seed, use_cache, cache_dir);
 
   for (double eta : grid.etas) {
     char title[160];

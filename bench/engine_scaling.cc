@@ -1,8 +1,9 @@
 // Engine scaling: committed transactions per second vs. worker thread
 // count, at k in {8, 16, 32, 64} shards.
 //
-// The serial ShardSimulator is the baseline the parallel engine must beat:
-// logical results are identical (parity tests), so the win is wall-clock.
+// The engine at one worker is the serial baseline the wider pools must
+// beat: logical results do not depend on the worker count, so the win is
+// wall-clock.
 // Synthetic per-unit execution cost (--spin, LCG iterations per work unit)
 // stands in for real transaction execution; with --spin=0 the bench mostly
 // measures barrier overhead, which is also worth seeing.
@@ -57,6 +58,7 @@ int Main(int argc, char** argv) {
   const uint64_t spin =
       static_cast<uint64_t>(flags.GetInt("spin", 2'000));
   const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   // A slice of the scale's transaction budget: the sweep runs
   // |ks| x |threads| times over the same ledger.

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> specs = bench::ResolveMethodSpecs(
       flags, {"txallo-global",
               "txallo-hybrid:global-every=" + std::to_string(gap)});
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   std::printf("==============================================================\n");
   std::printf("Figure 10: Allocation running time per step (k=%u, %d steps; "
@@ -53,8 +55,7 @@ int main(int argc, char** argv) {
     table.AddRow(std::move(row));
   }
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "fig10_adaptive_runtime.csv");
+  table.WriteCsv(csv_dir, "fig10_adaptive_runtime.csv");
 
   std::printf("\nSummary (per schedule)\n");
   std::printf("  %-40s %12s %12s %12s %10s\n", "schedule", "avg s/step",

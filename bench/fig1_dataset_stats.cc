@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   bench::BenchScale scale = bench::ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  flags.ExitOnUnknownFlags();
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner(
       "Figure 1: Dataset structure (text rendition of the paper's "

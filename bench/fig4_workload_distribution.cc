@@ -19,13 +19,15 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 20));
   const double eta = flags.GetDouble("eta", 2.0);
+  const std::vector<std::string> methods = bench::ResolveMethodSpecs(flags);
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner(
       "Figure 4: Workload distribution among shards (sigma_i/lambda; "
       "eta=2, k=20)",
       scale, fixture, seed);
 
-  const std::vector<std::string> methods = bench::ResolveMethodSpecs(flags);
   std::vector<std::string> columns{"shard"};
   for (const std::string& m : methods) {
     columns.push_back(bench::MethodLabel(m));
@@ -46,8 +48,7 @@ int main(int argc, char** argv) {
     table.AddRow(std::move(row));
   }
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "fig4_workload_distribution.csv");
+  table.WriteCsv(csv_dir, "fig4_workload_distribution.csv");
 
   std::printf("\nSummary (1.0 = capacity line)\n");
   for (size_t i = 0; i < profiles.size(); ++i) {

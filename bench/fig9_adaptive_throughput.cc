@@ -39,6 +39,8 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> specs =
       bench::ResolveMethodSpecs(flags, default_specs);
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   std::printf("==============================================================\n");
   std::printf("Figure 9: Adaptive throughput evolution (tau1 = %d blocks/step,"
@@ -70,8 +72,7 @@ int main(int argc, char** argv) {
     table.AddRow(std::move(row));
   }
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "fig9_adaptive_throughput.csv");
+  table.WriteCsv(csv_dir, "fig9_adaptive_throughput.csv");
 
   std::printf("\nFigure 9b: Average throughput per schedule\n");
   for (size_t i = 0; i < specs.size(); ++i) {

@@ -151,6 +151,8 @@ int main(int argc, char** argv) {
   }
   std::vector<std::string> method_specs =
       bench::ResolveMethodSpecs(flags, allocator::RegisteredNames());
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
 
   const auto make_engine_config = [&]() {
     engine::EngineConfig engine_config =
@@ -273,7 +275,7 @@ int main(int argc, char** argv) {
         MakeCell(recorded_spec, "replay", *result, &engine, state_on));
     write_json();
     table.Print();
-    table.WriteCsv(flags.GetString("csv-dir", "bench_out"), "gauntlet.csv");
+    table.WriteCsv(csv_dir, "gauntlet.csv");
     std::printf("\nreplay of '%s' (scenario '%s'): bit-identical (%zu "
                 "commits, %zu steps)\n",
                 trace.replay_path.c_str(), recorded_spec.c_str(),
@@ -339,7 +341,7 @@ int main(int argc, char** argv) {
 
   write_json();
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"), "gauntlet.csv");
+  table.WriteCsv(csv_dir, "gauntlet.csv");
   std::printf(
       "\ncross%% = cross-shard share of submitted transactions; p50/p99/max "
       "are end-to-end\nlatency in ticks (commit tick - submit tick). Every "

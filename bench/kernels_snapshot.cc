@@ -30,6 +30,7 @@ namespace {
 int Main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const std::string json_out = flags.GetString("json-out", "");
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.num_blocks = 248;

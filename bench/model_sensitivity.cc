@@ -17,13 +17,15 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   bench::BenchScale scale = bench::ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 20));
+  const double eta = flags.GetDouble("eta", 4.0);
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner(
       "Extension: workload-model sensitivity (role-asymmetric and "
       "size-aware costs)",
       scale, fixture, seed);
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 20));
-  const double eta = flags.GetDouble("eta", 4.0);
 
   alloc::AllocationParams params = fixture.ParamsFor(k, eta);
   auto txallo_result = core::RunGlobalTxAllo(fixture.graph(),
@@ -64,8 +66,7 @@ int main(int argc, char** argv) {
                   bench::Fmt(r_hash->normalized_throughput, 2)});
   }
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "model_sensitivity.csv");
+  table.WriteCsv(csv_dir, "model_sensitivity.csv");
   std::printf("\nReading: TxAllo's advantage persists under every cost "
               "model because fewer\ntransactions cross shards at all — "
               "role asymmetry only redistributes the\nremaining cross "

@@ -106,12 +106,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", single.status().ToString().c_str());
     return 2;
   }
+  const std::string load_list = flags.GetString("loads", "60,100,140");
   std::vector<double> loads;
   if (*single > 0.0) {
     loads.push_back(*single);
   } else {
-    for (const std::string& clause :
-         bench::SplitList(flags.GetString("loads", "60,100,140"))) {
+    for (const std::string& clause : bench::SplitList(load_list)) {
       double load = 0.0;
       if (!ParseLoad(clause, &load)) {
         std::fprintf(stderr,
@@ -153,6 +153,8 @@ int main(int argc, char** argv) {
   shape.seed = seed;
   const std::string scenario_spec =
       bench::ResolveScenarioSpec(flags, "ethereum");
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
   std::unique_ptr<workload::Scenario> scenario =
       bench::MakeScenarioOrDie(scenario_spec, shape);
   const chain::Ledger ledger = scenario->GenerateLedger(scenario->num_blocks());
@@ -282,8 +284,7 @@ int main(int argc, char** argv) {
     add_point("replay", loaded->meta.offered_load, *result);
     write_json();
     table.Print();
-    table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                   "open_loop_latency.csv");
+    table.WriteCsv(csv_dir, "open_loop_latency.csv");
     std::printf("\nreplay of '%s': bit-identical (%zu commits, %zu steps, "
                 "offered load %g tx/tick)\n",
                 trace.replay_path.c_str(), loaded->commits.size(),
@@ -338,8 +339,7 @@ int main(int argc, char** argv) {
 
   write_json();
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "open_loop_latency.csv");
+  table.WriteCsv(csv_dir, "open_loop_latency.csv");
   std::printf(
       "\nLatency is end-to-end in ticks (commit tick − submit tick), exact "
       "nearest-rank\npercentiles over every committed transaction. Loads "

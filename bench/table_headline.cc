@@ -13,15 +13,16 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::Flags::Parse(argc, argv);
   bench::BenchScale scale = bench::ResolveBenchScale(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const bool use_cache = !flags.GetBool("no-cache", false);
+  const std::string cache_dir = bench::ResolveCacheDir(flags);
+  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 60));
+  const double eta = flags.GetDouble("eta", 2.0);
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
   bench::Fixture fixture(scale, seed);
   bench::PrintRunBanner("Headline table: abstract/introduction numbers",
                         scale, fixture, seed);
-  bench::SweepCache cache(&fixture, scale, seed,
-                          !flags.GetBool("no-cache", false),
-                          bench::ResolveCacheDir(flags));
-
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 60));
-  const double eta = flags.GetDouble("eta", 2.0);
+  bench::SweepCache cache(&fixture, scale, seed, use_cache, cache_dir);
 
   bench::SeriesTable table(
       "Cross-shard ratio and allocation runtime at k=" + std::to_string(k) +
@@ -45,8 +46,7 @@ int main(int argc, char** argv) {
                   bench::Fmt(result.allocation_seconds, 4)});
   }
   table.Print();
-  table.WriteCsv(flags.GetString("csv-dir", "bench_out"),
-                 "table_headline.csv");
+  table.WriteCsv(csv_dir, "table_headline.csv");
 
   // A-TxAllo update cost: absorb the fixture's ledger, allocate globally,
   // then time adaptive steps over freshly generated windows.

@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
       flags, "ethereum:drift-interval=" +
                  std::to_string(std::max<uint64_t>(
                      1, static_cast<uint64_t>(blocks) / 3)));
+  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
+  flags.ExitOnUnknownFlags();
   std::unique_ptr<workload::Scenario> scenario =
       bench::MakeScenarioOrDie(scenario_spec, shape);
   const chain::Ledger ledger = scenario->GenerateLedger(scenario->num_blocks());
@@ -238,7 +240,6 @@ int main(int argc, char** argv) {
     add_json_method("replay", *result, &engine);
     write_json();
     series.Print();
-    const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
     series.WriteCsv(csv_dir, "timeline_series.csv");
     std::printf(
         "\nreplay of '%s': bit-identical (%zu prepares, %zu commits, %zu "
@@ -325,7 +326,6 @@ int main(int argc, char** argv) {
   write_json();
   series.Print();
   summary.Print();
-  const std::string csv_dir = flags.GetString("csv-dir", "bench_out");
   series.WriteCsv(csv_dir, "timeline_series.csv");
   summary.WriteCsv(csv_dir, "timeline_series_summary.csv");
   std::printf(

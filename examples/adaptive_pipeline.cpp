@@ -26,13 +26,15 @@ int main(int argc, char** argv) {
   const int tau2_steps = static_cast<int>(flags.GetInt("tau2-steps", 8));
   const std::string spec = ResolveAllocatorSpec(
       flags, "txallo-hybrid:global-every=" + std::to_string(tau2_steps));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 120;
   config.num_blocks = static_cast<uint64_t>((steps + 8) * tau1) + 400;
   config.num_accounts = 24'000;
   config.num_communities = 150;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
+  config.seed = seed;
   workload::EthereumLikeGenerator generator(config);
 
   allocator::AllocatorOptions options;

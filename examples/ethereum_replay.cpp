@@ -22,11 +22,17 @@ int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 16));
   const double eta = flags.GetDouble("eta", 4.0);
+  const std::string csv = flags.GetString("csv", "");
+  const uint64_t synthetic_txs =
+      static_cast<uint64_t>(flags.GetInt("txs", 200'000));
+  const uint64_t synthetic_accounts =
+      static_cast<uint64_t>(flags.GetInt("accounts", 32'000));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  flags.ExitOnUnknownFlags();
 
   // --- Obtain a trace: real CSV if given, synthetic otherwise. ---
   chain::Ledger ledger;
   chain::AccountRegistry registry;
-  const std::string csv = flags.GetString("csv", "");
   if (!csv.empty()) {
     auto dataset = workload::LoadDatasetCsv(csv);
     if (!dataset.ok()) {
@@ -42,13 +48,10 @@ int main(int argc, char** argv) {
   } else {
     workload::EthereumLikeConfig config;
     config.txs_per_block = 200;
-    config.num_blocks =
-        static_cast<uint64_t>(flags.GetInt("txs", 200'000)) /
-        config.txs_per_block;
-    config.num_accounts = static_cast<uint64_t>(
-        flags.GetInt("accounts", 32'000));
+    config.num_blocks = synthetic_txs / config.txs_per_block;
+    config.num_accounts = synthetic_accounts;
     config.num_communities = static_cast<uint32_t>(config.num_accounts / 160);
-    config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+    config.seed = seed;
     workload::EthereumLikeGenerator generator(config);
     ledger = generator.GenerateLedger(config.num_blocks);
     for (size_t a = 0; a < generator.registry().size(); ++a) {

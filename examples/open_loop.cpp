@@ -33,21 +33,27 @@ int main(int argc, char** argv) {
   const uint64_t blocks = static_cast<uint64_t>(flags.GetInt("blocks", 48));
   const uint32_t producers =
       static_cast<uint32_t>(flags.GetInt("producers", 2));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  // Raw service of `service` tx/tick against an offer of `load`: the
+  // *effective* service is lower (cross-shard transactions consume capacity
+  // on every involved shard), so loads near `service` queue, and how much
+  // is the mapping's doing.
+  const double service = flags.GetDouble("service", 12.0);
+  const std::string hybrid =
+      flags.GetString("hybrid", "txallo-hybrid:global-every=4");
+  const uint32_t dispatch_per_tick =
+      static_cast<uint32_t>(flags.GetInt("dispatch-per-tick", 0));
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 40;
   config.num_blocks = blocks;
   config.num_accounts = 2'000;
   config.num_communities = 40;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  config.seed = seed;
   workload::EthereumLikeGenerator generator(config);
   const chain::Ledger ledger = generator.GenerateLedger(blocks);
 
-  // Raw service of `service` tx/tick against an offer of `load`: the
-  // *effective* service is lower (cross-shard transactions consume capacity
-  // on every involved shard), so loads near `service` queue, and how much
-  // is the mapping's doing.
-  const double service = flags.GetDouble("service", 12.0);
   engine::EngineConfig engine_config;
   engine_config.num_shards = k;
   engine_config.work.eta = eta;
@@ -62,9 +68,7 @@ int main(int argc, char** argv) {
               "p99", "p99.9", "dropped");
 
   int failures = 0;
-  for (const std::string& spec :
-       {std::string("hash"),
-        flags.GetString("hybrid", "txallo-hybrid:global-every=4")}) {
+  for (const std::string& spec : {std::string("hash"), hybrid}) {
     allocator::AllocatorOptions options;
     options.params = alloc::AllocationParams::ForExperiment(
         ledger.num_transactions(), k, eta);
@@ -81,8 +85,7 @@ int main(int argc, char** argv) {
     pipeline.ingest_mode = engine::IngestMode::kOpenLoop;
     pipeline.ingest_producers = producers;
     pipeline.open_loop.offered_load = load;
-    pipeline.open_loop.dispatch_per_tick =
-        static_cast<uint32_t>(flags.GetInt("dispatch-per-tick", 0));
+    pipeline.open_loop.dispatch_per_tick = dispatch_per_tick;
     auto result = engine::RunReallocatedStream(ledger, (*made)->AsOnline(),
                                                &engine, pipeline);
     if (!result.ok()) {

@@ -51,13 +51,15 @@ int main(int argc, char** argv) {
   }
   const uint32_t producers =
       static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt("producers", 0)));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 100;
   config.num_blocks = static_cast<uint64_t>(blocks) * 2;
   config.num_accounts = 16'000;
   config.num_communities = 100;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
+  config.seed = seed;
   // Drift makes the static mappings stale — what online reallocation fixes.
   config.drift_interval_blocks = static_cast<uint64_t>(blocks) / 3;
   workload::EthereumLikeGenerator generator(config);

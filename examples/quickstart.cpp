@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace txallo;
   Flags flags = Flags::Parse(argc, argv);
   const std::string spec = ResolveAllocatorSpec(flags, "txallo-global");
+  flags.ExitOnUnknownFlags();
 
   // 1. A ledger: two groups of accounts that mostly transact internally
   //    ({alice, bob, carol} and {dave, erin}), plus one bridging payment.

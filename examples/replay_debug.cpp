@@ -36,13 +36,15 @@ int main(int argc, char** argv) {
       flags.GetString("trace", "replay_debug.trace");
   const std::string csv_path =
       flags.GetString("trace-csv", "replay_debug_trace.csv");
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.num_blocks = blocks;
   config.txs_per_block = 60;
   config.num_accounts = 2'000;
   config.num_communities = 24;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  config.seed = seed;
   config.drift_interval_blocks = blocks / 3;
   workload::EthereumLikeGenerator generator(config);
   const chain::Ledger ledger = generator.GenerateLedger(blocks);

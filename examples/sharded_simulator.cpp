@@ -1,17 +1,18 @@
-// Sharded-chain simulation scenario: run the operational discrete-block
-// simulator under two allocation policies (hash-based vs TxAllo) on the
-// same traffic and watch queues, latency, and committed throughput — the
-// paper's analytic claims enacted by a "running" chain with cross-shard
-// two-phase commits.
+// Sharded-chain simulation scenario: run the block-level engine (one worker
+// thread) under two allocation policies (hash-based vs TxAllo) on the same
+// traffic and watch queues, latency, and committed throughput — the paper's
+// analytic claims enacted by a "running" chain with cross-shard two-phase
+// commits.
 //
 //   ./build/examples/sharded_simulator [--blocks=N] [--k=K] [--eta=E]
 #include <cstdio>
+#include <memory>
 
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/common/flags.h"
 #include "txallo/core/global.h"
+#include "txallo/engine/engine.h"
 #include "txallo/graph/builder.h"
-#include "txallo/sim/shard_sim.h"
 #include "txallo/workload/dataset.h"
 #include "txallo/workload/ethereum_like.h"
 
@@ -21,13 +22,15 @@ int main(int argc, char** argv) {
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 8));
   const double eta = flags.GetDouble("eta", 2.0);
   const int blocks = static_cast<int>(flags.GetInt("blocks", 400));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
+  flags.ExitOnUnknownFlags();
 
   workload::EthereumLikeConfig config;
   config.txs_per_block = 100;
   config.num_blocks = static_cast<uint64_t>(blocks) * 2;
   config.num_accounts = 16'000;
   config.num_communities = 100;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
+  config.seed = seed;
   workload::EthereumLikeGenerator generator(config);
 
   // Warmup history for the allocator, then live traffic for the sim.
@@ -51,10 +54,11 @@ int main(int argc, char** argv) {
 
   // Capacity: enough for the average per-block intra-only workload with a
   // little headroom — cross-shard traffic then visibly congests.
-  sim::SimConfig sim_config;
-  sim_config.num_shards = k;
-  sim_config.eta = eta;
-  sim_config.capacity_per_block =
+  engine::EngineConfig engine_config;
+  engine_config.num_shards = k;
+  engine_config.num_threads = 1;
+  engine_config.work.eta = eta;
+  engine_config.work.capacity_per_block =
       1.3 * static_cast<double>(config.txs_per_block) / k;
 
   struct Policy {
@@ -68,23 +72,24 @@ int main(int argc, char** argv) {
               "capacity=%.0f work-units/block/shard\n\n",
               blocks,
               static_cast<unsigned long long>(config.txs_per_block), k, eta,
-              sim_config.capacity_per_block);
+              engine_config.work.capacity_per_block);
   std::printf("%-12s %10s %10s %10s %10s %12s %10s\n", "policy", "commit",
               "tput/blk", "zeta(avg)", "zeta(max)", "utilization",
               "backlog");
 
   for (const Policy& policy : policies) {
-    sim::ShardSimulator sim(sim_config);
+    engine::ParallelEngine engine(
+        engine_config,
+        std::make_shared<const alloc::Allocation>(*policy.allocation));
     for (const chain::Block& block : live.blocks()) {
-      if (!sim.SubmitBlock(block.transactions(), *policy.allocation).ok()) {
+      if (!engine.SubmitBlock(block.transactions()).ok()) {
         std::fprintf(stderr, "submit failed under %s\n", policy.name);
         return 1;
       }
-      sim.Tick();
+      engine.Tick();
     }
-    sim::SimReport mid = sim.Snapshot();
-    const double backlog = mid.residual_work;
-    sim::SimReport report = sim.DrainAndReport();
+    const double backlog = engine.Snapshot().sim.residual_work;
+    const sim::SimReport report = engine.DrainAndReport().sim;
     std::printf("%-12s %9llu %10.1f %10.2f %10.0f %11.0f%% %10.0f\n",
                 policy.name,
                 static_cast<unsigned long long>(report.committed),

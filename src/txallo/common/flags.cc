@@ -1,6 +1,7 @@
 #include "txallo/common/flags.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -27,39 +28,52 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-bool Flags::Has(const std::string& key) const {
-  return values_.count(key) > 0;
+const std::string* Flags::Find(const std::string& key) const {
+  read_.insert(key);
+  auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
 }
+
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
 
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* v = Find(key);
+  return v == nullptr ? default_value : *v;
 }
 
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* v = Find(key);
+  if (v == nullptr) return default_value;
   char* end = nullptr;
-  int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str()) return default_value;
-  return v;
+  int64_t parsed = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str()) return default_value;
+  return parsed;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* v = Find(key);
+  if (v == nullptr) return default_value;
   char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str()) return default_value;
-  return v;
+  double parsed = std::strtod(v->c_str(), &end);
+  if (end == v->c_str()) return default_value;
+  return parsed;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes";
+  const std::string* v = Find(key);
+  if (v == nullptr) return default_value;
+  return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void Flags::ExitOnUnknownFlags() const {
+  bool unknown = false;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) > 0) continue;
+    std::fprintf(stderr, "unknown flag --%s=%s\n", key.c_str(), value.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
 }
 
 BenchScale ResolveBenchScale(const Flags& flags) {

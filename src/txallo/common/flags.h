@@ -5,12 +5,14 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace txallo {
 
-/// Parsed command line. Unknown flags are collected rather than rejected so
-/// harness binaries can share one parser.
+/// Parsed command line. Every key a Has()/Get*() call reads is recorded, so
+/// ExitOnUnknownFlags() can reject the rest: a misspelt or removed flag is a
+/// usage error, never a silently ignored one.
 class Flags {
  public:
   /// Parses argv. Flags look like --key=value or --key value; a bare --key
@@ -32,8 +34,17 @@ class Flags {
   /// Bool lookup ("true"/"1"/"yes" are true).
   bool GetBool(const std::string& key, bool default_value) const;
 
+  /// Prints every parsed flag no Has()/Get*() call has read and exits with
+  /// status 2 (a usage error). Call once the binary has read all the flags
+  /// it supports, before its run starts.
+  void ExitOnUnknownFlags() const;
+
  private:
+  /// The value of `key`, or null; records the key as read either way.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Scale presets shared by the bench binaries. Controlled by the

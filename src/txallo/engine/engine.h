@@ -1,8 +1,6 @@
-// Parallel sharded execution engine.
-//
-// Where sim::ShardSimulator executes every shard serially on the caller's
-// thread, ParallelEngine models the paper's actual system shape: shards are
-// independent processors. The pieces:
+// Parallel sharded execution engine: the one executor of the §III-B block
+// cost model. Shards are independent processors; with one worker thread
+// the engine is also the serial reference. The pieces:
 //
 //   * Ingest/mempool: SubmitBlock() routes each transaction by the current
 //     alloc::Allocation snapshot and appends its parts to the staging
@@ -26,9 +24,7 @@
 //
 // Time is logical, in blocks: Tick() advances every shard by one block in
 // parallel and barriers before commit decisions are flushed, so for a given
-// submission sequence the engine's SimReport-compatible numbers match the
-// serial simulator's (the parity tests assert this within tolerance; only
-// floating-point summation order differs).
+// submission sequence the report is the same for every worker count.
 //
 // Determinism: every submitted transaction carries an ingest *sequence tag*
 // (a position in a per-engine reservation counter, reserved once per
@@ -67,7 +63,6 @@
 #include "txallo/common/status.h"
 #include "txallo/common/sync.h"
 #include "txallo/engine/two_phase.h"
-#include "txallo/sim/shard_sim.h"
 #include "txallo/sim/work_model.h"
 #include "txallo/state/state_db.h"
 
@@ -98,8 +93,7 @@ struct EngineConfig {
   bool hash_route_unassigned = false;
   /// Synthetic CPU cost per work unit (iterations of an LCG spin),
   /// emulating real transaction execution so thread scaling is measurable.
-  /// 0 (default) keeps execution pure bookkeeping — required for exact
-  /// parity timing against the serial simulator in tests.
+  /// 0 (default) keeps execution pure bookkeeping.
   uint64_t spin_iterations_per_unit = 0;
 };
 
@@ -126,9 +120,8 @@ struct TickStateRoot {
   bool operator==(const TickStateRoot&) const = default;
 };
 
-/// SimReport plus engine-only observability.
+/// Block-level report plus engine-only observability.
 struct EngineReport {
-  /// Same fields/semantics as the serial simulator's report.
   sim::SimReport sim;
   uint32_t num_workers = 0;
   /// Per-shard peak number of parts staged between two ticks: the largest

@@ -25,7 +25,7 @@
 //                    the determinism reference: install points are pinned
 //                    to logical block boundaries, never to allocator wall
 //                    time, so per-step metrics are identical either way
-//                    (the parity tests assert bit-equality).
+//                    (background_pipeline_test asserts bit-equality).
 //
 // Ingest can fan out too: `ingest_producers >= 2` starts one
 // common::FanOut of that many threads, which slices every block into the

@@ -1,13 +1,10 @@
-// Shared per-transaction work accounting for the execution backends.
-//
-// The serial ShardSimulator and the parallel engine (txallo::engine) are two
-// executors of the same cost semantics from the paper: an intra-shard
-// transaction costs 1 work unit on its one shard, a cross-shard transaction
-// costs η on every involved shard (§III-B's workload factor), each shard
-// processes λ work units per block, and a cross-shard transaction pays extra
-// commit round(s) after its last part finishes (the additional round of
-// consensus §I describes). Keeping the accounting in one place means the two
-// backends cannot drift.
+// Shared per-transaction work accounting of the parallel engine
+// (txallo::engine), the executor of the paper's cost semantics: an
+// intra-shard transaction costs 1 work unit on its one shard, a cross-shard
+// transaction costs η on every involved shard (§III-B's workload factor),
+// each shard processes λ work units per block, and a cross-shard
+// transaction pays extra commit round(s) after its last part finishes (the
+// additional round of consensus §I describes).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +16,7 @@
 
 namespace txallo::sim {
 
-/// The η/λ/commit-round cost model both executors share.
+/// The η/λ/commit-round cost model the engine executes.
 struct WorkModel {
   /// Workload factor of a cross-shard transaction part.
   double eta = 2.0;
@@ -40,9 +37,26 @@ struct WorkModel {
   }
 };
 
+/// Aggregated block-level results of an engine run.
+struct SimReport {
+  uint64_t submitted = 0;
+  uint64_t committed = 0;
+  uint64_t cross_shard_submitted = 0;
+  /// Committed transactions per elapsed block.
+  double throughput_per_block = 0.0;
+  /// Mean commit latency in blocks (arrival block -> commit block).
+  double avg_latency_blocks = 0.0;
+  double max_latency_blocks = 0.0;
+  /// Mean over shards of (work processed / (capacity * blocks)).
+  double mean_utilization = 0.0;
+  /// Work still queued when the run ended.
+  double residual_work = 0.0;
+  uint64_t blocks_elapsed = 0;
+};
+
 /// Routing policy for accounts the current allocation has not placed.
 enum class UnassignedPolicy {
-  /// Reject the transaction (the simulator's historical behaviour).
+  /// Reject the transaction.
   kReject,
   /// Deterministically hash-route (account id mod k) — what a live chain
   /// does for accounts created since the last allocation epoch.
@@ -61,7 +75,7 @@ Status RouteAccount(chain::AccountId account,
 
 /// Computes the distinct shards `tx` touches under `allocation` into
 /// `*shards` (cleared first, order of first appearance preserved — the
-/// executors' queueing order). Returns FailedPrecondition on an unassigned
+/// engine's queueing order). Returns FailedPrecondition on an unassigned
 /// account under kReject.
 Status RouteTransaction(const chain::Transaction& tx,
                         const alloc::Allocation& allocation,

@@ -53,6 +53,38 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_FALSE(f.GetBool("d", true));
 }
 
+TEST(FlagsTest, ReadFlagsPassTheUnknownFlagCheck) {
+  Flags f = ParseArgs({"--txs=5", "--verbose", "--name", "run1"});
+  EXPECT_EQ(f.GetInt("txs", 0), 5);
+  EXPECT_TRUE(f.Has("verbose"));  // Has() counts as a read.
+  EXPECT_EQ(f.GetString("name", ""), "run1");
+  f.ExitOnUnknownFlags();  // Returns: every parsed flag was read.
+}
+
+TEST(FlagsTest, ReadingAnAbsentFlagIsNotAnError) {
+  Flags f = ParseArgs({});
+  EXPECT_EQ(f.GetInt("txs", 7), 7);
+  f.ExitOnUnknownFlags();
+}
+
+TEST(FlagsDeathTest, UnreadFlagIsAUsageError) {
+  // A removed or misspelt flag exits 2 and names itself, even after the
+  // binary has read its own flags.
+  Flags f = ParseArgs({"--blocks=24", "--overrun=1", "--no-cleaner"});
+  EXPECT_EQ(f.GetInt("blocks", 0), 24);
+  EXPECT_EXIT(f.ExitOnUnknownFlags(), testing::ExitedWithCode(2),
+              "unknown flag --no-cleaner=true\nunknown flag --overrun=1");
+}
+
+TEST(FlagsDeathTest, SharedResolversMarkTheirFlagsRead) {
+  Flags f = ParseArgs({"--scale=small", "--txs=10", "--threads=2", "--k=4"});
+  ResolveBenchScale(f);
+  EXPECT_EXIT(f.ExitOnUnknownFlags(), testing::ExitedWithCode(2),
+              "unknown flag --k=4");
+  f.GetInt("k", 0);
+  f.ExitOnUnknownFlags();
+}
+
 TEST(BenchScaleTest, FlagOverridesPreset) {
   Flags f = ParseArgs({"--scale=small", "--txs=999", "--max-shards=12"});
   BenchScale scale = ResolveBenchScale(f);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -116,12 +117,22 @@ Result<engine::PipelineResult> RunMode(const PipelineFixture& f,
 // returned. Every Run() therefore spans a driver/worker round trip, and by
 // the time the pipeline's Collect() starts its stopwatch the result is
 // already computed: overlap is positive by construction, not by timing luck.
+// Each task also records, on the allocator's logical clock (blocks applied
+// so far), when it was launched, when its Run() returned and when the
+// driver committed it.
 class LatchedAllocator : public allocator::OnlineAllocator {
  public:
+  struct TaskBlocks {
+    uint64_t launched = 0;
+    std::atomic<uint64_t> returned{0};
+    uint64_t committed = 0;
+  };
+
   explicit LatchedAllocator(alloc::AllocationParams params)
       : OnlineAllocator("latched-test", params) {}
 
   void ApplyBlock(const chain::Block& block) override {
+    applied_.fetch_add(1);
     for (const chain::Transaction& tx : block.transactions()) {
       for (chain::AccountId a : tx.accounts()) {
         num_accounts_ = std::max<uint64_t>(num_accounts_, a + 1);
@@ -152,21 +163,32 @@ class LatchedAllocator : public allocator::OnlineAllocator {
     pending_ = latch;
     const uint64_t frozen = num_accounts_;
     const uint32_t shards = params_.num_shards;
+    tasks_.push_back(std::make_unique<TaskBlocks>());
+    TaskBlocks* task = tasks_.back().get();
+    task->launched = applied_.load();
     return std::make_unique<allocator::ClosureRebalanceTask>(
-        [latch, frozen, shards]() -> Result<alloc::Allocation> {
+        [this, latch, frozen, shards, task]() -> Result<alloc::Allocation> {
           Result<alloc::Allocation> mapping = MappingFor(frozen, shards);
           std::unique_lock<std::mutex> lock(latch->mu);
           latch->started = true;
           latch->cv.notify_all();
           latch->cv.wait(lock, [&] { return latch->open; });
+          task->returned.store(applied_.load());
           latch->returned = true;
           latch->cv.notify_all();
           return mapping;
         },
-        [](const Result<alloc::Allocation>&) { return Status(); });
+        [this, task](const Result<alloc::Allocation>&) {
+          task->committed = applied_.load();
+          return Status();
+        });
   }
 
   uint64_t latched_runs() const { return latched_runs_; }
+  // Driver-side, after the run: every task has been committed.
+  const std::vector<std::unique_ptr<TaskBlocks>>& tasks() const {
+    return tasks_;
+  }
 
  private:
   struct Latch {
@@ -190,6 +212,9 @@ class LatchedAllocator : public allocator::OnlineAllocator {
   uint64_t num_accounts_ = 0;
   std::shared_ptr<Latch> pending_;
   uint64_t latched_runs_ = 0;
+  // Blocks applied so far: written by the driver, read by Run() too.
+  std::atomic<uint64_t> applied_{0};
+  std::vector<std::unique_ptr<TaskBlocks>> tasks_;
 };
 
 void ExpectStepsIdentical(const engine::PipelineResult& a,
@@ -365,7 +390,15 @@ TEST(BackgroundPipelineTest, ReportsPositiveOverlapOnMultiEpochRun) {
   // collected, none skipped or left in flight.
   EXPECT_EQ(latched.latched_runs(), result->epochs);
   EXPECT_EQ(result->report.sim.committed, f.ledger.num_transactions());
-  EXPECT_GT(result->alloc_seconds, 0.0);
+  // Each Run() spanned the first tick of the next epoch (its allocation time
+  // overlapped execution), and the driver committed it at exactly its next
+  // boundary, the end of the stream for the last one.
+  ASSERT_EQ(latched.tasks().size(), result->epochs);
+  for (const auto& task : latched.tasks()) {
+    SCOPED_TRACE(testing::Message() << "launched at " << task->launched);
+    EXPECT_EQ(task->returned.load(), task->launched + 1);
+    EXPECT_EQ(task->committed, task->launched + 6);
+  }
   EXPECT_GT(result->alloc_overlap_ratio, 0.0);
 }
 

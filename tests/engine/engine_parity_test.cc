@@ -1,132 +1,144 @@
-// Engine/simulator parity (the acceptance criterion of the parallel-engine
-// issue): for seed workloads, the engine's throughput-per-block and mean
-// latency must agree with the serial ShardSimulator within 5%. Both run the
-// same shared sim::WorkModel semantics, so agreement should in fact be
-// exact up to floating-point summation order.
+// Worker-count parity: the engine's logical-block semantics are thread-count
+// invariant, so every input, run under 1, 2 and 4 workers, must report equal
+// counters and floating-point fields equal to within 1e-12 (summation order
+// is the only freedom). Inputs are a small hand-built ring and two seeded
+// Ethereum-like ledgers, placed by hash and by G-TxAllo.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "txallo/baselines/hash_allocator.h"
 #include "txallo/core/global.h"
 #include "txallo/engine/engine.h"
 #include "txallo/graph/builder.h"
-#include "txallo/sim/shard_sim.h"
 #include "txallo/workload/ethereum_like.h"
 
-namespace txallo {
+namespace txallo::engine {
 namespace {
 
-struct ParityRun {
-  sim::SimReport serial;
-  engine::EngineReport parallel;
+// One parity input: `blocks` submitted one per tick under `allocation`, then
+// drained.
+struct ParityInput {
+  EngineConfig config;
+  std::shared_ptr<alloc::Allocation> allocation;
+  std::vector<std::vector<chain::Transaction>> blocks;
 };
 
-ParityRun RunBoth(const chain::Ledger& ledger, const alloc::Allocation& alloc,
-                  uint32_t k, double eta, double capacity,
-                  uint32_t num_threads) {
-  sim::SimConfig sim_config;
-  sim_config.num_shards = k;
-  sim_config.eta = eta;
-  sim_config.capacity_per_block = capacity;
-  sim::ShardSimulator simulator(sim_config);
-  for (const chain::Block& block : ledger.blocks()) {
-    EXPECT_TRUE(simulator.SubmitBlock(block.transactions(), alloc).ok());
-    simulator.Tick();
-  }
+EngineConfig ParityConfig(uint32_t shards, double capacity) {
+  EngineConfig config;
+  config.num_shards = shards;
+  config.work.eta = 2.0;
+  config.work.capacity_per_block = capacity;
+  config.work.cross_shard_commit_rounds = 1;
+  return config;
+}
 
-  engine::EngineConfig engine_config;
-  engine_config.num_shards = k;
-  engine_config.work = sim_config.work_model();
-  engine_config.num_threads = num_threads;
-  engine::ParallelEngine engine(
-      engine_config, std::make_shared<alloc::Allocation>(alloc));
-  for (const chain::Block& block : ledger.blocks()) {
-    EXPECT_TRUE(engine.SubmitBlock(block.transactions()).ok());
+EngineReport RunInput(const ParityInput& input, uint32_t threads) {
+  EngineConfig config = input.config;
+  config.num_threads = threads;
+  ParallelEngine engine(config, input.allocation);
+  for (const auto& block : input.blocks) {
+    EXPECT_TRUE(engine.SubmitBlock(block).ok());
     engine.Tick();
   }
-
-  ParityRun run;
-  run.serial = simulator.DrainAndReport();
-  run.parallel = engine.DrainAndReport();
-  return run;
+  return engine.DrainAndReport();
 }
 
-void ExpectParity(const ParityRun& run) {
-  const sim::SimReport& s = run.serial;
-  const sim::SimReport& e = run.parallel.sim;
-  EXPECT_EQ(e.submitted, s.submitted);
-  EXPECT_EQ(e.cross_shard_submitted, s.cross_shard_submitted);
-  EXPECT_EQ(e.committed, s.committed);
-  EXPECT_EQ(e.blocks_elapsed, s.blocks_elapsed);
-  // The 5%-agreement acceptance bound; in practice the two executors agree
-  // to summation order.
-  EXPECT_NEAR(e.throughput_per_block, s.throughput_per_block,
-              0.05 * s.throughput_per_block);
-  EXPECT_NEAR(e.avg_latency_blocks, s.avg_latency_blocks,
-              0.05 * s.avg_latency_blocks);
-  EXPECT_DOUBLE_EQ(e.max_latency_blocks, s.max_latency_blocks);
-  EXPECT_NEAR(e.mean_utilization, s.mean_utilization,
-              0.05 * s.mean_utilization + 1e-12);
-  EXPECT_NEAR(e.residual_work, s.residual_work, 1e-6);
+void ExpectThreadCountParity(const ParityInput& input) {
+  const EngineReport reference = RunInput(input, 1);
+  const sim::SimReport& ref = reference.sim;
+  EXPECT_EQ(reference.num_workers, 1u);
+  // Every cross-shard transaction goes through 2PC and commits.
+  EXPECT_GT(ref.cross_shard_submitted, 0u);
+  EXPECT_EQ(reference.cross_shard_committed, ref.cross_shard_submitted);
+  EXPECT_EQ(ref.committed, ref.submitted);
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    const EngineReport report = RunInput(input, threads);
+    const sim::SimReport& got = report.sim;
+    EXPECT_EQ(report.num_workers, threads);
+    EXPECT_EQ(got.submitted, ref.submitted);
+    EXPECT_EQ(got.committed, ref.committed);
+    EXPECT_EQ(got.cross_shard_submitted, ref.cross_shard_submitted);
+    EXPECT_EQ(report.cross_shard_committed, reference.cross_shard_committed);
+    EXPECT_EQ(report.prepares_received, reference.prepares_received);
+    EXPECT_EQ(got.blocks_elapsed, ref.blocks_elapsed);
+    EXPECT_EQ(report.max_queue_depth, reference.max_queue_depth);
+    EXPECT_NEAR(got.throughput_per_block, ref.throughput_per_block, 1e-12);
+    EXPECT_NEAR(got.avg_latency_blocks, ref.avg_latency_blocks, 1e-12);
+    EXPECT_EQ(got.max_latency_blocks, ref.max_latency_blocks);
+    EXPECT_NEAR(got.mean_utilization, ref.mean_utilization, 1e-12);
+    EXPECT_NEAR(got.residual_work, ref.residual_work, 1e-12);
+  }
 }
 
-chain::Ledger SeedWorkload(workload::EthereumLikeGenerator& gen,
-                           uint64_t blocks) {
-  return gen.GenerateLedger(blocks);
+// A seeded Ethereum-like ledger at k = 8 and η = 2, with λ `headroom` times
+// the mean per-shard block load so queues build. `txallo` places accounts
+// with G-TxAllo over the ledger's own graph instead of by hash.
+ParityInput SeededInput(uint64_t blocks, uint64_t txs_per_block,
+                        uint64_t accounts, uint64_t seed, double headroom,
+                        bool txallo) {
+  workload::EthereumLikeConfig gen_config;
+  gen_config.num_blocks = blocks;
+  gen_config.txs_per_block = txs_per_block;
+  gen_config.num_accounts = accounts;
+  gen_config.num_communities = accounts / 100;
+  gen_config.seed = seed;
+  workload::EthereumLikeGenerator gen(gen_config);
+  const chain::Ledger ledger = gen.GenerateLedger(blocks);
+  const uint32_t k = 8;
+  ParityInput input{
+      ParityConfig(k, headroom * static_cast<double>(txs_per_block) / k),
+      nullptr,
+      {}};
+  if (txallo) {
+    graph::TransactionGraph graph = graph::BuildTransactionGraph(ledger);
+    graph.EnsureNodeCount(gen.registry().size());
+    graph.Consolidate();
+    auto placed = core::RunGlobalTxAllo(
+        graph, gen.registry().IdsInHashOrder(),
+        alloc::AllocationParams::ForExperiment(ledger.num_transactions(), k,
+                                               2.0));
+    EXPECT_TRUE(placed.ok());
+    input.allocation =
+        std::make_shared<alloc::Allocation>(std::move(placed.value()));
+  } else {
+    input.allocation = std::make_shared<alloc::Allocation>(
+        baselines::AllocateByHash(gen.registry(), k));
+  }
+  for (const chain::Block& block : ledger.blocks()) {
+    input.blocks.push_back(block.transactions());
+  }
+  return input;
+}
+
+TEST(ParallelEngineTest, ThreadCountDoesNotChangeResults) {
+  // Six accounts on four shards, each transaction pays the next account
+  // round the ring; three blocks of 40.
+  std::vector<chain::Transaction> txs;
+  for (int i = 0; i < 40; ++i) {
+    txs.push_back(chain::Transaction::Simple(
+        static_cast<chain::AccountId>(i % 6),
+        static_cast<chain::AccountId>((i + 1) % 6)));
+  }
+  auto ring = std::make_shared<alloc::Allocation>(6, 4);
+  const alloc::ShardId placement[] = {0, 0, 1, 2, 3, 3};
+  for (chain::AccountId a = 0; a < 6; ++a) ring->Assign(a, placement[a]);
+  ExpectThreadCountParity({ParityConfig(4, 10.0), ring, {txs, txs, txs}});
 }
 
 TEST(EngineParityTest, HashAllocationSeedWorkload) {
-  workload::EthereumLikeConfig config;
-  config.num_blocks = 60;
-  config.txs_per_block = 120;
-  config.num_accounts = 4'000;
-  config.num_communities = 40;
-  config.seed = 42;
-  workload::EthereumLikeGenerator gen(config);
-  chain::Ledger ledger = SeedWorkload(gen, config.num_blocks);
-  const uint32_t k = 8;
-  const double eta = 2.0;
-  auto allocation = baselines::AllocateByHash(gen.registry(), k);
-  // Mildly under-provisioned so queues build and latency is non-trivial.
-  const double capacity =
-      1.1 * static_cast<double>(config.txs_per_block) / k;
-  for (uint32_t threads : {1u, 4u}) {
-    ParityRun run =
-        RunBoth(ledger, allocation, k, eta, capacity, threads);
-    ExpectParity(run);
-  }
+  ExpectThreadCountParity(SeededInput(/*blocks=*/60, /*txs_per_block=*/120,
+                                      /*accounts=*/4'000, /*seed=*/42,
+                                      /*headroom=*/1.1, /*txallo=*/false));
 }
 
 TEST(EngineParityTest, TxAlloAllocationSeedWorkload) {
-  workload::EthereumLikeConfig config;
-  config.num_blocks = 50;
-  config.txs_per_block = 100;
-  config.num_accounts = 3'000;
-  config.num_communities = 30;
-  config.seed = 7;
-  workload::EthereumLikeGenerator gen(config);
-  chain::Ledger ledger = SeedWorkload(gen, config.num_blocks);
-  const uint32_t k = 8;
-  const double eta = 2.0;
-  graph::TransactionGraph graph = graph::BuildTransactionGraph(ledger);
-  graph.EnsureNodeCount(gen.registry().size());
-  graph.Consolidate();
-  alloc::AllocationParams params = alloc::AllocationParams::ForExperiment(
-      ledger.num_transactions(), k, eta);
-  auto result = core::RunGlobalTxAllo(graph, gen.registry().IdsInHashOrder(),
-                                      params);
-  ASSERT_TRUE(result.ok());
-  const double capacity =
-      1.05 * static_cast<double>(config.txs_per_block) / k;
-  ParityRun run = RunBoth(ledger, *result, k, eta, capacity, 4);
-  ExpectParity(run);
-  // TxAllo keeps most traffic intra-shard on this workload; sanity-check
-  // that the parity harness exercised cross-shard commits anyway.
-  EXPECT_GT(run.parallel.sim.cross_shard_submitted, 0u);
-  EXPECT_EQ(run.parallel.cross_shard_committed,
-            run.parallel.sim.cross_shard_submitted);
+  ExpectThreadCountParity(SeededInput(/*blocks=*/50, /*txs_per_block=*/100,
+                                      /*accounts=*/3'000, /*seed=*/7,
+                                      /*headroom=*/1.05, /*txallo=*/true));
 }
 
 }  // namespace
-}  // namespace txallo
+}  // namespace txallo::engine

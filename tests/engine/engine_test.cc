@@ -136,38 +136,81 @@ TEST(ParallelEngineTest, CapacityBacklogCarriesAcrossTicks) {
   EXPECT_DOUBLE_EQ(report.sim.residual_work, 0.0);
 }
 
-TEST(ParallelEngineTest, ThreadCountDoesNotChangeResults) {
-  // Logical-block semantics are thread-count invariant: run the same
-  // workload under 1, 2, and 4 workers and demand identical reports.
+TEST(ParallelEngineTest, MixedIntraCrossTrafficAllCommitsAndDrains) {
+  // η = 3 at λ = 4 queues the cross parts for many blocks; draining must
+  // commit every transaction and leave no work behind.
+  auto alloc = MakeAllocation(4, 2, {0, 0, 1, 1});
+  EngineConfig config = SmallConfig(2, 2);
+  config.work.eta = 3.0;
+  config.work.capacity_per_block = 4.0;
+  ParallelEngine engine(config, alloc);
   std::vector<chain::Transaction> txs;
-  for (int i = 0; i < 40; ++i) {
-    txs.push_back(chain::Transaction::Simple(
-        static_cast<chain::AccountId>(i % 6),
-        static_cast<chain::AccountId>((i + 1) % 6)));
+  for (chain::AccountId i = 0; i < 20; ++i) {
+    txs.push_back(chain::Transaction::Simple(i % 2, 2 + (i % 2)));  // Cross.
+    txs.push_back(chain::Transaction::Simple(0, 1));                // Intra.
   }
-  auto alloc = MakeAllocation(6, 4, {0, 0, 1, 2, 3, 3});
-  EngineReport reference;
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    ParallelEngine engine(SmallConfig(4, threads), alloc);
-    for (int round = 0; round < 3; ++round) {
-      ASSERT_TRUE(engine.SubmitBlock(txs).ok());
-      engine.Tick();
-    }
-    EngineReport report = engine.DrainAndReport();
-    EXPECT_EQ(report.num_workers, threads);
-    if (threads == 1) {
-      reference = report;
-      continue;
-    }
-    EXPECT_EQ(report.sim.committed, reference.sim.committed);
-    EXPECT_EQ(report.sim.blocks_elapsed, reference.sim.blocks_elapsed);
-    EXPECT_NEAR(report.sim.avg_latency_blocks,
-                reference.sim.avg_latency_blocks, 1e-9);
-    EXPECT_DOUBLE_EQ(report.sim.max_latency_blocks,
-                     reference.sim.max_latency_blocks);
-    EXPECT_NEAR(report.sim.mean_utilization, reference.sim.mean_utilization,
-                1e-12);
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.submitted, 40u);
+  EXPECT_EQ(report.sim.cross_shard_submitted, 20u);
+  EXPECT_EQ(report.sim.committed, report.sim.submitted);
+  EXPECT_EQ(report.cross_shard_committed, 20u);
+  EXPECT_EQ(report.sim.residual_work, 0.0);
+}
+
+TEST(ParallelEngineTest, IdleShardHalvesMeanUtilization) {
+  // Shard 0 spends its whole λ, shard 1 idles: the mean is exactly 1/2.
+  auto alloc = MakeAllocation(2, 2, {0, 0});
+  ParallelEngine engine(SmallConfig(2, 2), alloc);
+  std::vector<chain::Transaction> txs(10, chain::Transaction::Simple(0, 1));
+  ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+  engine.Tick();
+  EXPECT_EQ(engine.Snapshot().sim.mean_utilization, 0.5);
+}
+
+TEST(ParallelEngineTest, SlowestShardGatesMultiShardCommit) {
+  // Six intra transactions pre-load shard 2 (3 blocks at λ = 2); a
+  // transaction over shards 0, 1 and 2 then submitted in the same block
+  // finishes on shards 0 and 1 in block 1 but on shard 2 only in block 4,
+  // and commits one round later.
+  EngineConfig config = SmallConfig(3, 3);
+  config.work.capacity_per_block = 2.0;
+  ParallelEngine engine(config, MakeAllocation(3, 3, {2, 2, 2}));
+  std::vector<chain::Transaction> filler(6, chain::Transaction::Simple(0, 1));
+  ASSERT_TRUE(engine.SubmitBlock(filler).ok());
+  ASSERT_TRUE(engine.InstallAllocation(MakeAllocation(3, 3, {0, 1, 2})).ok());
+  ASSERT_TRUE(engine.SubmitBlock({chain::Transaction({0, 1}, {2})}).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.sim.committed, 7u);
+  EXPECT_EQ(report.cross_shard_committed, 1u);
+  EXPECT_EQ(report.sim.max_latency_blocks, 5.0);
+  EXPECT_EQ(report.sim.blocks_elapsed, 5u);
+}
+
+TEST(ParallelEngineTest, ZeroCommitRoundsGiveCrossShardLatencyOne) {
+  auto alloc = MakeAllocation(4, 2, {0, 0, 1, 1});
+  EngineConfig config = SmallConfig(2, 2);
+  config.work.cross_shard_commit_rounds = 0;
+  ParallelEngine engine(config, alloc);
+  ASSERT_TRUE(engine.SubmitBlock({chain::Transaction::Simple(0, 2)}).ok());
+  EngineReport report = engine.DrainAndReport();
+  EXPECT_EQ(report.cross_shard_committed, 1u);
+  EXPECT_EQ(report.sim.avg_latency_blocks, 1.0);
+}
+
+TEST(ParallelEngineTest, ThroughputSaturatesAtCapacity) {
+  // Twice λ of intra work arrives every block: committed throughput is λ,
+  // not the demand.
+  auto alloc = MakeAllocation(2, 1, {0, 0});
+  EngineConfig config = SmallConfig(1, 1);
+  config.work.capacity_per_block = 5.0;
+  ParallelEngine engine(config, alloc);
+  for (int b = 0; b < 20; ++b) {
+    std::vector<chain::Transaction> txs(10, chain::Transaction::Simple(0, 1));
+    ASSERT_TRUE(engine.SubmitBlock(txs).ok());
+    engine.Tick();
   }
+  EXPECT_EQ(engine.Snapshot().sim.throughput_per_block, 5.0);
 }
 
 TEST(ParallelEngineTest, MoreThreadsThanShardsIsClamped) {

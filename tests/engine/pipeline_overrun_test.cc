@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "txallo/allocator/allocator.h"
 #include "txallo/chain/ledger.h"
@@ -18,14 +19,28 @@
 namespace txallo::engine {
 namespace {
 
-// An online allocator whose background Run() dawdles: with 8-block epochs
-// ticking in microseconds, every later boundary arrives while the task is
-// still asleep. The mapping itself is trivial (id mod k over the accounts
-// seen at snapshot time) — this test is about the schedule, not quality.
+// An online allocator whose background Run() overruns its epoch by
+// construction: it polls the engine's logical clock until the next boundary
+// (`epoch_blocks` after its launch) has been reached, lingers there for
+// `linger_ms`, and records the block the engine is at when it returns. A
+// driver that waits at the boundary is still there; one that moved on has
+// ticked past it meanwhile. The mapping itself is trivial (id mod k over
+// the accounts seen at snapshot time) — this test is about the schedule,
+// not quality.
 class SlowAllocator : public allocator::OnlineAllocator {
  public:
-  SlowAllocator(alloc::AllocationParams params, uint64_t sleep_ms)
-      : OnlineAllocator("slow-test", params), sleep_ms_(sleep_ms) {}
+  // Blocks at which one task was launched and at which its Run() returned.
+  struct TaskBlocks {
+    uint64_t launched = 0;
+    std::atomic<uint64_t> returned{0};
+  };
+
+  SlowAllocator(alloc::AllocationParams params, const ParallelEngine* engine,
+                uint64_t epoch_blocks, uint64_t linger_ms)
+      : OnlineAllocator("slow-test", params),
+        engine_(engine),
+        epoch_blocks_(epoch_blocks),
+        linger_ms_(linger_ms) {}
 
   void ApplyBlock(const chain::Block& block) override {
     for (const chain::Transaction& tx : block.transactions()) {
@@ -47,19 +62,27 @@ class SlowAllocator : public allocator::OnlineAllocator {
   std::unique_ptr<allocator::RebalanceTask> BeginRebalance() override {
     // Snapshot now: Run() must not touch the parent (it races ApplyBlock).
     const uint64_t frozen = num_accounts_;
-    const uint64_t sleep_ms = sleep_ms_;
     const uint32_t shards = params_.num_shards;
-    std::atomic<uint64_t>* runs = &background_runs_;
+    tasks_.push_back(std::make_unique<TaskBlocks>());
+    TaskBlocks* task = tasks_.back().get();
+    task->launched = engine_->current_block();
+    const uint64_t boundary = task->launched + epoch_blocks_;
     return std::make_unique<allocator::ClosureRebalanceTask>(
-        [frozen, sleep_ms, shards, runs]() -> Result<alloc::Allocation> {
-          std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-          runs->fetch_add(1);
+        [this, frozen, shards, task, boundary]() -> Result<alloc::Allocation> {
+          while (engine_->current_block() < boundary) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms_));
+          task->returned.store(engine_->current_block());
           return MappingFor(frozen, shards);
         },
         [](const Result<alloc::Allocation>&) { return Status(); });
   }
 
-  uint64_t background_runs() const { return background_runs_.load(); }
+  // Driver-side, after the run: every task has been collected.
+  const std::vector<std::unique_ptr<TaskBlocks>>& tasks() const {
+    return tasks_;
+  }
 
  private:
   static Result<alloc::Allocation> MappingFor(uint64_t accounts,
@@ -71,9 +94,11 @@ class SlowAllocator : public allocator::OnlineAllocator {
     }
     return mapping;
   }
-  const uint64_t sleep_ms_;
+  const ParallelEngine* const engine_;
+  const uint64_t epoch_blocks_;
+  const uint64_t linger_ms_;
   uint64_t num_accounts_ = 0;
-  std::atomic<uint64_t> background_runs_{0};
+  std::vector<std::unique_ptr<TaskBlocks>> tasks_;
 };
 
 TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
@@ -87,11 +112,6 @@ TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
   const chain::Ledger ledger = generator.GenerateLedger(workload.num_blocks);
 
   const uint32_t k = 4;
-  SlowAllocator slow(
-      alloc::AllocationParams::ForExperiment(ledger.num_transactions(), k,
-                                             2.0),
-      /*sleep_ms=*/20);
-
   EngineConfig config;
   config.num_shards = k;
   config.num_threads = 2;
@@ -103,15 +123,24 @@ TEST(PipelineOverrunTest, DefaultScheduleStillBlocksAtEveryBoundary) {
   PipelineConfig pipeline;
   pipeline.blocks_per_epoch = 8;  // 5 windows -> 4 boundary rebalances.
   pipeline.allocator_mode = AllocatorMode::kBackground;
+  SlowAllocator slow(
+      alloc::AllocationParams::ForExperiment(ledger.num_transactions(), k,
+                                             2.0),
+      &engine, pipeline.blocks_per_epoch, /*linger_ms=*/20);
   auto result = RunReallocatedStream(ledger, &slow, &engine, pipeline);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // No boundary is skipped: every one launches a task and waits for it.
   EXPECT_EQ(result->epochs, 4u);
-  EXPECT_EQ(slow.background_runs(), result->epochs);
+  ASSERT_EQ(slow.tasks().size(), result->epochs);
   EXPECT_EQ(result->report.sim.committed, ledger.num_transactions());
-  // Blocking waits show up as allocation stall.
-  EXPECT_GT(result->alloc_wait_seconds, 0.0);
+  // Every task ran into its next boundary and returned while the driver was
+  // still parked there: the boundary waited for it instead of ticking on.
+  for (const auto& task : slow.tasks()) {
+    SCOPED_TRACE(testing::Message() << "launched at " << task->launched);
+    EXPECT_EQ(task->returned.load(),
+              task->launched + pipeline.blocks_per_epoch);
+  }
 }
 
 }  // namespace

@@ -1,163 +1,96 @@
-#include "txallo/sim/shard_sim.h"
-
+// The sim::WorkModel cost semantics on a four-account, two-shard split,
+// executed serially: the engine at one worker, one block per tick.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
+
+#include "txallo/engine/engine.h"
 
 namespace txallo::sim {
 namespace {
 
 using chain::Transaction;
 
-alloc::Allocation SplitAllocation() {
-  alloc::Allocation a(4, 2);
-  a.Assign(0, 0);
-  a.Assign(1, 0);
-  a.Assign(2, 1);
-  a.Assign(3, 1);
+// Accounts 0 and 1 on shard 0, accounts 2 and 3 on shard 1.
+std::shared_ptr<alloc::Allocation> SplitAllocation() {
+  auto a = std::make_shared<alloc::Allocation>(4, 2);
+  a->Assign(0, 0);
+  a->Assign(1, 0);
+  a->Assign(2, 1);
+  a->Assign(3, 1);
   return a;
 }
 
-SimConfig Config(uint32_t shards, double eta, double capacity) {
-  SimConfig c;
-  c.num_shards = shards;
-  c.eta = eta;
-  c.capacity_per_block = capacity;
+engine::EngineConfig Config(double eta, double capacity) {
+  engine::EngineConfig c;
+  c.num_shards = 2;
+  c.num_threads = 1;
+  c.work.eta = eta;
+  c.work.capacity_per_block = capacity;
   return c;
 }
 
 TEST(ShardSimTest, IntraTransactionCommitsInOneBlock) {
-  ShardSimulator sim(Config(2, 2.0, 10.0));
-  ASSERT_TRUE(sim.SubmitBlock({Transaction::Simple(0, 1)},
-                              SplitAllocation()).ok());
+  engine::ParallelEngine sim(Config(2.0, 10.0), SplitAllocation());
+  ASSERT_TRUE(sim.SubmitBlock({Transaction::Simple(0, 1)}).ok());
   sim.Tick();
-  SimReport report = sim.Snapshot();
+  SimReport report = sim.Snapshot().sim;
   EXPECT_EQ(report.committed, 1u);
   EXPECT_DOUBLE_EQ(report.avg_latency_blocks, 1.0);
 }
 
 TEST(ShardSimTest, CrossShardPaysExtraRound) {
-  ShardSimulator sim(Config(2, 2.0, 10.0));
-  ASSERT_TRUE(sim.SubmitBlock({Transaction::Simple(0, 2)},
-                              SplitAllocation()).ok());
-  SimReport report = sim.DrainAndReport();
+  engine::ParallelEngine sim(Config(2.0, 10.0), SplitAllocation());
+  ASSERT_TRUE(sim.SubmitBlock({Transaction::Simple(0, 2)}).ok());
+  SimReport report = sim.DrainAndReport().sim;
   EXPECT_EQ(report.committed, 1u);
   EXPECT_EQ(report.cross_shard_submitted, 1u);
   // Both parts processed in block 1, commit in block 2.
   EXPECT_DOUBLE_EQ(report.avg_latency_blocks, 2.0);
 }
 
-TEST(ShardSimTest, ConservationAllSubmittedEventuallyCommit) {
-  ShardSimulator sim(Config(2, 3.0, 4.0));
-  std::vector<Transaction> txs;
-  for (int i = 0; i < 20; ++i) {
-    txs.push_back(Transaction::Simple(i % 2, 2 + (i % 2)));  // Cross.
-    txs.push_back(Transaction::Simple(0, 1));                // Intra.
-  }
-  ASSERT_TRUE(sim.SubmitBlock(txs, SplitAllocation()).ok());
-  SimReport report = sim.DrainAndReport();
-  EXPECT_EQ(report.committed, report.submitted);
-  EXPECT_EQ(report.submitted, 40u);
-  EXPECT_DOUBLE_EQ(report.residual_work, 0.0);
-}
-
 TEST(ShardSimTest, OverloadedShardQueuesWork) {
-  ShardSimulator sim(Config(2, 2.0, 2.0));  // Tiny capacity.
+  engine::ParallelEngine sim(Config(2.0, 2.0), SplitAllocation());
   std::vector<Transaction> txs(10, Transaction::Simple(0, 1));
-  ASSERT_TRUE(sim.SubmitBlock(txs, SplitAllocation()).ok());
+  ASSERT_TRUE(sim.SubmitBlock(txs).ok());
   sim.Tick();
-  SimReport mid = sim.Snapshot();
+  SimReport mid = sim.Snapshot().sim;
   EXPECT_EQ(mid.committed, 2u);  // Capacity 2 per block.
-  EXPECT_GT(sim.QueuedWork(0), 0.0);
-  SimReport done = sim.DrainAndReport();
+  EXPECT_GT(mid.residual_work, 0.0);
+  SimReport done = sim.DrainAndReport().sim;
   EXPECT_EQ(done.committed, 10u);
-  // Last transactions waited ~5 blocks.
+  // The last transactions waited 5 blocks.
   EXPECT_GE(done.max_latency_blocks, 5.0);
 }
 
 TEST(ShardSimTest, RejectsUnassignedAccounts) {
-  ShardSimulator sim(Config(2, 2.0, 10.0));
-  alloc::Allocation partial(4, 2);
-  partial.Assign(0, 0);
-  Status st = sim.SubmitBlock({Transaction::Simple(0, 3)}, partial);
+  auto partial = std::make_shared<alloc::Allocation>(4, 2);
+  partial->Assign(0, 0);
+  engine::ParallelEngine sim(Config(2.0, 10.0), partial);
+  Status st = sim.SubmitBlock({Transaction::Simple(0, 3)});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(ShardSimTest, UtilizationReflectsLoad) {
-  ShardSimulator sim(Config(2, 2.0, 10.0));
-  // All work in shard 0: shard 1 idles -> mean utilization ~50% of shard 0.
-  std::vector<Transaction> txs(10, Transaction::Simple(0, 1));
-  ASSERT_TRUE(sim.SubmitBlock(txs, SplitAllocation()).ok());
-  sim.Tick();
-  SimReport report = sim.Snapshot();
-  EXPECT_NEAR(report.mean_utilization, 0.5, 1e-9);
-}
-
-TEST(ShardSimTest, MultiShardTransactionNeedsAllParts) {
-  // 3-shard transaction: slowest shard gates the commit.
-  SimConfig config = Config(3, 2.0, 2.0);
-  ShardSimulator sim(config);
-  alloc::Allocation a(3, 3);
-  a.Assign(0, 0);
-  a.Assign(1, 1);
-  a.Assign(2, 2);
-  // Pre-load shard 2 with intra work so its part of the cross tx queues.
-  alloc::Allocation same(3, 3);
-  same.Assign(0, 2);
-  same.Assign(1, 2);
-  same.Assign(2, 2);
-  std::vector<Transaction> filler(6, Transaction::Simple(0, 1));
-  ASSERT_TRUE(sim.SubmitBlock(filler, same).ok());
-  ASSERT_TRUE(sim.SubmitBlock({Transaction({0, 1}, {2})}, a).ok());
-  SimReport report = sim.DrainAndReport();
-  EXPECT_EQ(report.committed, 7u);
-  // The cross tx committed well after block 1.
-  EXPECT_GT(report.max_latency_blocks, 2.0);
-}
-
-TEST(ShardSimTest, ZeroCrossCommitRoundsDisablesExtraLatency) {
-  SimConfig config = Config(2, 2.0, 10.0);
-  config.cross_shard_commit_rounds = 0;
-  ShardSimulator sim(config);
-  ASSERT_TRUE(sim.SubmitBlock({Transaction::Simple(0, 2)},
-                              SplitAllocation()).ok());
-  SimReport report = sim.DrainAndReport();
-  EXPECT_DOUBLE_EQ(report.avg_latency_blocks, 1.0);
-}
-
 TEST(ShardSimTest, ReallocationBetweenBlocksLosesNothing) {
-  // The simulator routes each block by whatever mapping it is given;
+  // Each block is routed by the mapping installed when it is submitted;
   // switching mappings mid-run (a reconfiguration) must not lose or
   // double-commit transactions already in flight.
-  ShardSimulator sim(Config(2, 2.0, 3.0));
-  alloc::Allocation before = SplitAllocation();
-  alloc::Allocation after(4, 2);
-  after.Assign(0, 1);
-  after.Assign(1, 1);
-  after.Assign(2, 0);
-  after.Assign(3, 0);
+  engine::ParallelEngine sim(Config(2.0, 3.0), SplitAllocation());
+  auto after = std::make_shared<alloc::Allocation>(4, 2);
+  after->Assign(0, 1);
+  after->Assign(1, 1);
+  after->Assign(2, 0);
+  after->Assign(3, 0);
   std::vector<Transaction> txs(10, Transaction::Simple(0, 1));
-  ASSERT_TRUE(sim.SubmitBlock(txs, before).ok());
+  ASSERT_TRUE(sim.SubmitBlock(txs).ok());
   sim.Tick();
-  ASSERT_TRUE(sim.SubmitBlock(txs, after).ok());  // New mapping.
-  SimReport report = sim.DrainAndReport();
+  ASSERT_TRUE(sim.InstallAllocation(after).ok());  // New mapping.
+  ASSERT_TRUE(sim.SubmitBlock(txs).ok());
+  SimReport report = sim.DrainAndReport().sim;
   EXPECT_EQ(report.submitted, 20u);
   EXPECT_EQ(report.committed, 20u);
-}
-
-TEST(ShardSimTest, ThroughputSaturatesAtCapacity) {
-  // Feed 2x capacity of intra work per block: steady-state throughput must
-  // equal capacity, not demand.
-  ShardSimulator sim(Config(1, 2.0, 5.0));
-  alloc::Allocation one(2, 1);
-  one.Assign(0, 0);
-  one.Assign(1, 0);
-  for (int b = 0; b < 20; ++b) {
-    std::vector<Transaction> txs(10, Transaction::Simple(0, 1));
-    ASSERT_TRUE(sim.SubmitBlock(txs, one).ok());
-    sim.Tick();
-  }
-  SimReport report = sim.Snapshot();
-  EXPECT_NEAR(report.throughput_per_block, 5.0, 0.5);
 }
 
 }  // namespace
